@@ -84,6 +84,9 @@ impl LocalCluster {
     }
 
     fn start<F: Fabric + Send + 'static>(n: usize, cfg: HopliteConfig, fabric: F) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid HopliteConfig: {e}");
+        }
         let cluster_view = ClusterView::of_size(n);
         let next_op = Arc::new(AtomicU64::new(1));
         let mut cluster = LocalCluster {

@@ -3,6 +3,14 @@
 use crate::detector::DetectorConfig;
 use crate::time::Duration;
 
+/// Largest frame body, in bytes, a transport accepts off the wire. A length prefix
+/// above it is rejected before anything is allocated for the body, so a corrupt or
+/// hostile prefix cannot make a receiver allocate and zero gigabytes.
+pub const MAX_FRAME_LEN: usize = 1 << 30;
+
+/// Largest `block_size`: [`MAX_FRAME_LEN`] less 4 KiB for the frame's other fields.
+pub const MAX_BLOCK_SIZE: u64 = MAX_FRAME_LEN as u64 - 4096;
+
 /// Size thresholds and protocol parameters of a Hoplite node.
 ///
 /// Defaults mirror the paper's implementation: 4 MiB pipelining blocks, a 64 KiB
@@ -144,6 +152,14 @@ impl HopliteConfig {
     pub fn is_inline(&self, size: u64) -> bool {
         size <= self.inline_threshold
     }
+
+    /// Check that one block fits a frame a receiver accepts ([`MAX_FRAME_LEN`]).
+    pub fn validate(&self) -> std::result::Result<(), String> {
+        if !(1..=MAX_BLOCK_SIZE).contains(&self.block_size) {
+            return Err(format!("block_size {} must be in 1..={MAX_BLOCK_SIZE}", self.block_size));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -167,6 +183,16 @@ mod tests {
         assert_eq!(cfg.num_blocks(101), 2);
         assert_eq!(cfg.block_len(250, 0), 100);
         assert_eq!(cfg.block_len(250, 2), 50);
+    }
+
+    #[test]
+    fn validate_bounds_block_size_by_the_frame_cap() {
+        assert!(HopliteConfig::default().validate().is_ok());
+        assert!(HopliteConfig::small_for_tests().validate().is_ok());
+        let with_block = |block_size| HopliteConfig { block_size, ..HopliteConfig::default() };
+        assert!(with_block(MAX_BLOCK_SIZE).validate().is_ok());
+        assert!(with_block(MAX_BLOCK_SIZE + 1).validate().is_err());
+        assert!(with_block(0).validate().is_err());
     }
 
     #[test]

@@ -79,6 +79,7 @@ pub fn parse(text: &str) -> std::result::Result<HopliteConfig, String> {
             other => return Err(format!("line {}: unknown config key `{other}`", lineno + 1)),
         }
     }
+    cfg.validate()?;
     Ok(cfg)
 }
 
@@ -118,6 +119,15 @@ mod tests {
         assert!(parse("block_sz = 1").is_err());
         assert!(parse("block_size = banana").is_err());
         assert!(parse("no equals sign").is_err());
+    }
+
+    #[test]
+    fn block_size_beyond_the_frame_cap_is_an_error() {
+        use hoplite_core::config::MAX_BLOCK_SIZE;
+        assert!(parse(&format!("block_size = {MAX_BLOCK_SIZE}")).is_ok());
+        let err = parse(&format!("block_size = {}", MAX_BLOCK_SIZE + 1)).unwrap_err();
+        assert!(err.contains("block_size"), "{err}");
+        assert!(parse("block_size = 0").is_err());
     }
 
     #[test]

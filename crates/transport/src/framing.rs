@@ -23,6 +23,7 @@
 //! bounds-checks every read and rejects trailing or truncated bytes.
 
 use bytes::Bytes;
+use hoplite_core::config::MAX_FRAME_LEN;
 use hoplite_core::prelude::*;
 use hoplite_core::protocol::ReduceParent;
 use hoplite_core::reduce::{DType, ReduceOp};
@@ -109,11 +110,12 @@ mod op_tags {
 
 // ---------------------------------------------------------- scatter-gather frames --
 
-/// Payload segments shorter than this are copied into the adjacent contiguous run
-/// instead of being emitted as separate scatter-gather parts. This is the short-frame
-/// coalesce threshold: control messages and tiny inline payloads stay one contiguous
-/// part (one `write` syscall on the TCP fabric, no iovec bookkeeping), while bulk
-/// blocks ride as shared segment references with zero payload memcpys. Tune it to the
+/// The copy threshold on both sides of the wire. On encode, shorter payload segments
+/// are copied into the adjacent contiguous run, so control messages and tiny inline
+/// payloads stay one part (one `write` syscall on the TCP fabric, no iovec
+/// bookkeeping). On decode, shorter payloads are copied out of the receive slab, so a
+/// small object held by the store or the directory never pins a block-sized slab.
+/// Bulk blocks ride as shared references with zero payload memcpys. Tune it to the
 /// crossover point where one extra iovec beats one memcpy on the target machine —
 /// a few KiB on commodity Linux; raising it trades copies for fewer syscalls.
 pub const GATHER_MIN_SEGMENT: usize = 4 * 1024;
@@ -470,10 +472,10 @@ fn put_dir_op(out: &mut FrameWriter, op: &DirOp) {
 
 /// Bounds-checked cursor over a received frame body.
 ///
-/// The cursor borrows the frame as a shared [`Bytes`] buffer so payload fields decode
-/// as zero-copy sub-slices of the receive buffer instead of fresh allocations — the
-/// difference between ~1 GiB/s and encode-parity decode throughput on 4 MiB blocks
-/// (see `BENCH_NOTES.md`).
+/// The cursor borrows the frame as a shared [`Bytes`] buffer so payload fields of at
+/// least [`GATHER_MIN_SEGMENT`] bytes decode as zero-copy sub-slices of the receive
+/// buffer instead of fresh allocations — the difference between ~1 GiB/s and
+/// encode-parity decode throughput on 4 MiB blocks (see `BENCH_NOTES.md`).
 struct Reader<'a> {
     buf: &'a Bytes,
     at: usize,
@@ -581,7 +583,14 @@ impl<'a> Reader<'a> {
         match self.u8()? {
             0 => {
                 let len = self.usize_checked()?;
-                Ok(Payload::Bytes(self.take_shared(len)?))
+                if len >= GATHER_MIN_SEGMENT {
+                    return Ok(Payload::Bytes(self.take_shared(len)?));
+                }
+                // Copied so a small payload cannot pin the receive slab it arrived in
+                // (the decode twin of `FrameWriter::put_shared`'s copy branch).
+                let owned = Bytes::copy_from_slice(self.take(len)?);
+                hoplite_core::copytrace::record(len);
+                Ok(Payload::Bytes(owned))
             }
             1 => Ok(Payload::synthetic(self.u64()?)),
             other => Err(malformed(&format!("unknown payload kind {other}"))),
@@ -1029,9 +1038,10 @@ fn encode_message(msg: &Message, out: &mut FrameWriter) {
 
 /// Decode a message body produced by [`encode_body`].
 ///
-/// The body is taken as a shared [`Bytes`] buffer so bulk payloads (`PushBlock`,
-/// `ReduceBlock`, inline objects) decode as zero-copy views into it; callers that own
-/// a `Vec<u8>` convert with `Bytes::from(vec)` (free) rather than re-allocating.
+/// The body is taken as a shared [`Bytes`] buffer so payloads of at least
+/// [`GATHER_MIN_SEGMENT`] bytes (`PushBlock`, `ReduceBlock`, larger inline objects)
+/// decode as zero-copy views into it, and shorter ones as owned copies; callers that
+/// own a `Vec<u8>` convert with `Bytes::from(vec)` (free) rather than re-allocating.
 pub fn decode_body(buf: &Bytes) -> Result<Message, FrameError> {
     let tag = *buf.first().ok_or_else(|| malformed("empty frame"))?;
     let mut r = Reader::new(buf, 1);
@@ -1265,11 +1275,22 @@ pub fn write_frame_vectored<W: std::io::Write>(w: &mut W, msg: &Message) -> std:
 pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<Message> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf) as usize;
+    let len = frame_len(len_buf)?;
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
     decode_body(&Bytes::from(body))
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+}
+
+/// The body length a frame's 4-byte prefix announces, rejected with `InvalidData`
+/// above [`MAX_FRAME_LEN`] — before anything is allocated for the body, so a corrupt
+/// or hostile prefix cannot make the receiver allocate and zero gigabytes.
+fn frame_len(prefix: [u8; 4]) -> std::io::Result<usize> {
+    let len = u32::from_be_bytes(prefix) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "frame length overflow"));
+    }
+    Ok(len)
 }
 
 // --------------------------------------------------------------- pooled slab reader --
@@ -1284,11 +1305,12 @@ const MAX_RETAINED_SLABS: usize = 8;
 
 /// A pool of reusable receive slabs ([`FrameReader`]'s allocator).
 ///
-/// Slabs are `Arc<[u8]>` allocations. Frame bodies decoded out of a slab alias it as
-/// [`Bytes`] views ([`Bytes::from_arc`]), so a slab stays pinned — `strong_count > 1`
-/// — for exactly as long as any decoded payload is alive. Checkout simply scans the
-/// retained list for a slab whose refcount has dropped back to one: no free-lists, no
-/// drop hooks, the `Arc` refcount *is* the in-use bit.
+/// Slabs are `Arc<[u8]>` allocations. Payloads of at least [`GATHER_MIN_SEGMENT`]
+/// bytes decoded out of a slab alias it as [`Bytes`] views ([`Bytes::from_arc`]), so a
+/// slab stays pinned — `strong_count > 1` — for exactly as long as any such payload is
+/// alive; shorter payloads are copied out at decode and never pin. Checkout simply
+/// scans the retained list for a slab whose refcount has dropped back to one: no
+/// free-lists, no drop hooks, the `Arc` refcount *is* the in-use bit.
 pub struct RecvSlabPool {
     retained: Vec<std::sync::Arc<[u8]>>,
     slab_len: usize,
@@ -1330,42 +1352,6 @@ impl RecvSlabPool {
     }
 }
 
-/// `true` when a frame with this tag can hold payload bytes that decode as shared
-/// views into the receive buffer (`Reader::take_shared`), pinning the slab until the
-/// consumer drops them. Every other tag decodes entirely into owned fields, so the
-/// slab stays writable across it. Unknown tags are treated as pinning (conservative:
-/// the frame will fail to decode anyway, but must not corrupt neighbours first).
-fn tag_may_pin(tag: u8) -> bool {
-    !matches!(
-        tag,
-        tags::DIR_REGISTER
-            | tags::DIR_UNREGISTER
-            | tags::DIR_QUERY
-            | tags::DIR_SUBSCRIBE
-            | tags::DIR_PUBLISH
-            | tags::DIR_TRANSFER_DONE
-            | tags::DIR_DELETE
-            | tags::STORE_RELEASE
-            | tags::PULL_REQUEST
-            | tags::PULL_CANCEL
-            | tags::PULL_ERROR
-            | tags::REDUCE_INSTRUCTION
-            | tags::REDUCE_DONE
-            | tags::DIR_UNSUBSCRIBE
-            | tags::REDUCE_RELEASE
-            | tags::DIR_ACK
-            | tags::DIR_SNAPSHOT_REQUEST
-            | tags::DIR_RESYNCED
-            | tags::DIR_CONFIRM
-            | tags::HELLO
-            | tags::PEER_FAILURE_NOTICE
-            | tags::MEMBERSHIP_DIGEST
-            | tags::PING
-            | tags::ACK
-            | tags::PING_REQ
-    )
-}
-
 /// Zero-copy framed reader: the receive-side twin of [`write_frame_vectored`].
 ///
 /// Where [`read_frame`] allocates a fresh `vec![0u8; len]` per frame (an allocation,
@@ -1373,16 +1359,17 @@ fn tag_may_pin(tag: u8) -> bool {
 /// `FrameReader` reads ahead into a pooled slab and decodes each frame **in place**:
 /// the body handed to [`decode_body`] is a [`Bytes`] view of the slab, so a bulk
 /// payload's bytes are written exactly once (by the kernel, into the slab) and then
-/// adopted — `ProgressBuffer`/store append the very same view. Slabs return to the
-/// pool when every view into them drops; a control-heavy stream reuses one warm slab
-/// indefinitely, and bursts of small frames arriving together decode out of a single
-/// `read` syscall.
+/// adopted — `ProgressBuffer`/store append the very same view. Payloads shorter than
+/// [`GATHER_MIN_SEGMENT`] are copied out at decode instead, so only bulk payloads pin a
+/// slab. Slabs return to the pool when every view into them drops; a control-heavy
+/// stream, whose frames are all under the threshold, alternates between two warm
+/// slabs indefinitely.
 ///
-/// Read-ahead is capped so a slab roll never has to move payload bytes: a fill stops
-/// at the next length prefix unless the following frame both fits the current slab
-/// and is known (by its buffered tag byte) not to pin the slab. The carry copied
-/// across a roll is therefore at most 4 length-prefix bytes — header bookkeeping, not
-/// payload, preserving the zero-payload-memcpy invariant end to end.
+/// Read-ahead is capped by frame length so a slab roll never has to move payload
+/// bytes: a fill reads at most through the end of the current frame plus the next
+/// length prefix. The carry copied across a roll is therefore at most 4 length-prefix
+/// bytes — header bookkeeping, not payload, preserving the zero-payload-memcpy
+/// invariant end to end.
 pub struct FrameReader<R> {
     inner: R,
     pool: RecvSlabPool,
@@ -1411,11 +1398,7 @@ impl<R: std::io::Read> FrameReader<R> {
     /// Read and decode one framed message, zero-copy for bulk payloads.
     pub fn read_message(&mut self) -> std::io::Result<Message> {
         self.need(4)?;
-        let len = u32::from_be_bytes(self.slab[self.pos..self.pos + 4].try_into().expect("4 bytes"))
-            as usize;
-        let total = 4usize.checked_add(len).ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "frame length overflow")
-        })?;
+        let total = 4 + frame_len(self.slab[self.pos..self.pos + 4].try_into().expect("4 bytes"))?;
         self.need(total)?;
         let body = Bytes::from_arc(self.slab.clone(), self.pos + 4, self.pos + total);
         self.pos += total;
@@ -1471,42 +1454,17 @@ impl<R: std::io::Read> FrameReader<R> {
         self.filled = carry;
     }
 
-    /// Absolute offset a fill may read up to. Walks the buffered length prefixes from
-    /// the current frame forward; stops after any frame that does not fit this slab
-    /// or might pin it (so a roll never strands payload bytes behind the cursor).
+    /// Absolute offset a fill may read up to: the current frame's header, then the
+    /// rest of the frame plus the next length prefix (`need` has already rolled to a
+    /// slab the frame fits). Bytes past that prefix belong to a frame whose length is
+    /// not yet known, so a roll never strands more than the prefix.
     fn fill_limit(&self) -> usize {
-        let slab_len = self.slab.len();
-        let mut c = self.pos;
-        let mut first = true;
-        loop {
-            if c + 4 > self.filled {
-                // Header not fully buffered: allow completing it (plus nothing more).
-                return (c + 4).min(slab_len);
-            }
-            let len = u32::from_be_bytes(self.slab[c..c + 4].try_into().expect("4 bytes")) as usize;
-            let end = match c.checked_add(4).and_then(|h| h.checked_add(len)) {
-                Some(end) if end <= slab_len => end,
-                // Frame won't fit this slab (or length is hostile): stop at the
-                // header so the roll carries only length-prefix bytes.
-                _ => return (c + 4).min(slab_len),
-            };
-            if first {
-                first = false;
-                c = end;
-                continue;
-            }
-            match (c + 5 <= self.filled).then(|| self.slab[c + 4]) {
-                // A buffered, provably non-pinning frame: read through it and keep
-                // walking — this is what batches control bursts into one syscall.
-                Some(tag) if !tag_may_pin(tag) => c = end,
-                // Possibly-pinning frame: buffer it fully plus the next length
-                // prefix, but nothing past that (a pinned-slab roll then carries
-                // only those prefix bytes).
-                Some(_) => return (end + 4).min(slab_len),
-                // Tag byte not buffered yet: stop at this header boundary.
-                None => return (c + 4).min(slab_len),
-            }
+        let header_end = self.pos + 4;
+        if self.filled < header_end {
+            return header_end;
         }
+        let len = u32::from_be_bytes(self.slab[self.pos..header_end].try_into().expect("4 bytes"));
+        (header_end + len as usize + 4).min(self.slab.len())
     }
 }
 
@@ -1941,13 +1899,15 @@ mod tests {
 
     #[test]
     fn decoded_payload_aliases_the_frame_buffer() {
-        // Zero-copy contract: the decoded PushBlock payload is a view into the frame
-        // body, so decoding must not copy megabytes per block.
+        // Zero-copy contract: a decoded PushBlock payload of at least the gather
+        // threshold is a view into the frame body, so decoding must not copy
+        // megabytes per block.
+        let len = GATHER_MIN_SEGMENT;
         let msg = Message::PushBlock {
             object: ObjectId::from_name("z"),
             offset: 0,
-            total_size: 64,
-            payload: Payload::from_vec((0..64).collect()),
+            total_size: len as u64,
+            payload: Payload::from_vec((0..len).map(|i| i as u8).collect()),
             complete: true,
         };
         let body = Bytes::from(encode_body(&msg).unwrap());
@@ -1956,8 +1916,9 @@ mod tests {
             panic!("decoded wrong variant");
         };
         // The payload sits at the tail of the frame; identical bytes, shared storage.
-        assert_eq!(b.as_slice(), &body.as_slice()[body.len() - 64..]);
-        assert_eq!(b.slice(..).len(), 64);
+        let tail = &body.as_slice()[body.len() - len..];
+        assert_eq!(b.as_slice(), tail);
+        assert_eq!(b.as_slice().as_ptr(), tail.as_ptr());
     }
 
     /// Deterministic xorshift64* generator — the same in-file seeded-fuzzer style as
@@ -2636,6 +2597,123 @@ mod tests {
             0,
             "slab-reader decode must not memcpy payload bytes"
         );
+    }
+
+    /// Address range of a reader's current slab, for checking where payloads point
+    /// without holding (and so pinning) the slab.
+    fn slab_range<R>(reader: &FrameReader<R>) -> std::ops::Range<usize> {
+        let start = reader.slab.as_ptr() as usize;
+        start..start + reader.slab.len()
+    }
+
+    fn payload_addr(msg: &Message) -> usize {
+        let (Message::DirQueryReply { result: QueryResult::Inline { payload }, .. }
+        | Message::DirPutInline { payload, .. }
+        | Message::PushBlock { payload, .. }) = msg
+        else {
+            panic!("message carries no payload: {msg:?}");
+        };
+        payload.as_bytes().expect("a contiguous payload").as_slice().as_ptr() as usize
+    }
+
+    /// Regression: a stream of 1 KiB inline objects, every decoded message held the
+    /// way the store and the directory's inline cache hold them. Each small payload
+    /// is copied out at decode, so held replies never pin a receive slab: the reader
+    /// only rolls when a slab fills, and every roll after the first reuses a pooled
+    /// slab instead of allocating (and zeroing) a fresh one.
+    #[test]
+    fn held_small_inline_payloads_never_pin_receive_slabs() {
+        let msgs: Vec<Message> = (0..200u64)
+            .map(|i| {
+                let object = ObjectId::from_name(&format!("inline-{i}"));
+                let payload = Payload::from_vec(vec![i as u8; 1024]);
+                if i % 2 == 0 {
+                    Message::DirQueryReply {
+                        object,
+                        query_id: i,
+                        result: QueryResult::Inline { payload },
+                    }
+                } else {
+                    Message::DirPutInline { object, holder: NodeId(1), payload }
+                }
+            })
+            .collect();
+        let mut stream = Vec::new();
+        for m in &msgs {
+            stream.extend_from_slice(&encode_frame(m).unwrap());
+        }
+        let mut reader =
+            FrameReader::with_slab_len(std::io::Cursor::new(stream), 4 * GATHER_MIN_SEGMENT);
+        let mut slabs = vec![slab_range(&reader)];
+        let mut held = Vec::new();
+        for want in &msgs {
+            let got = reader.read_message().unwrap();
+            assert_eq!(&got, want);
+            held.push(got);
+            let current = slab_range(&reader);
+            if slabs.last() != Some(&current) {
+                slabs.push(current);
+            }
+        }
+        let rolls = slabs.len() as u64 - 1;
+        assert!(rolls >= 10, "the stream should fill the slab many times, rolled {rolls}");
+        assert_eq!(reader.take_slab_reuses(), rolls - 1, "every roll after the first reuses");
+        slabs.sort_by_key(|r| r.start);
+        slabs.dedup();
+        assert_eq!(slabs.len(), 2, "two slabs alternate: {slabs:?}");
+        for msg in &held {
+            let at = payload_addr(msg);
+            assert!(!slabs.iter().any(|s| s.contains(&at)), "a held payload points into a slab");
+        }
+    }
+
+    /// The decode-side threshold: a payload one byte under [`GATHER_MIN_SEGMENT`] is
+    /// copied out of the slab (and tallied as a copy); a payload of exactly the
+    /// threshold stays a shared view that pins the slab.
+    #[test]
+    fn payloads_below_the_gather_threshold_decode_as_owned_copies() {
+        use hoplite_core::copytrace;
+        let block = |len: usize| Message::PushBlock {
+            object: ObjectId::from_name("threshold"),
+            offset: 0,
+            total_size: len as u64,
+            payload: Payload::from_vec(vec![9; len]),
+            complete: true,
+        };
+        let (small, large) = (block(GATHER_MIN_SEGMENT - 1), block(GATHER_MIN_SEGMENT));
+        let mut stream = encode_frame(&small).unwrap();
+        stream.extend_from_slice(&encode_frame(&large).unwrap());
+        let mut reader = FrameReader::new(std::io::Cursor::new(stream));
+        copytrace::reset();
+
+        let got_small = reader.read_message().unwrap();
+        assert_eq!(got_small, small);
+        assert!(!slab_range(&reader).contains(&payload_addr(&got_small)));
+        assert_eq!(std::sync::Arc::strong_count(&reader.slab), 1, "the copy does not pin");
+        let copied = if cfg!(debug_assertions) { GATHER_MIN_SEGMENT as u64 - 1 } else { 0 };
+        assert_eq!(copytrace::bytes_copied(), copied, "the copy is tallied (debug builds)");
+
+        let got_large = reader.read_message().unwrap();
+        assert_eq!(got_large, large);
+        assert!(slab_range(&reader).contains(&payload_addr(&got_large)));
+        assert_eq!(std::sync::Arc::strong_count(&reader.slab), 2, "the view pins the slab");
+        assert_eq!(copytrace::bytes_copied(), copied, "the view is not a copy");
+    }
+
+    /// A length prefix above [`MAX_FRAME_LEN`] is rejected before any body buffer is
+    /// allocated: a hostile `0xFFFF_FFFF` must not make the reader zero 4 GiB.
+    #[test]
+    fn hostile_frame_length_is_rejected_before_allocating() {
+        for len in [u32::MAX, MAX_FRAME_LEN as u32 + 1] {
+            let mut stream = len.to_be_bytes().to_vec();
+            stream.extend_from_slice(&[0; 16]);
+            let mut reader = FrameReader::new(std::io::Cursor::new(stream.clone()));
+            let err = reader.read_message().unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert_eq!(reader.slab.len(), DEFAULT_RECV_SLAB, "no slab was sized for the frame");
+            let err = read_frame(&mut std::io::Cursor::new(stream)).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        }
     }
 
     /// Counts syscall-shaped write calls and captures the byte stream, with a real

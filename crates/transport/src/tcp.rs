@@ -17,7 +17,10 @@
 //!   traffic is idle.
 //! * Receives go through a [`crate::framing::FrameReader`]: frames decode in place
 //!   out of pooled slabs, so a block's payload bytes are written once by the kernel
-//!   and then adopted as shared views all the way into the store.
+//!   and then adopted as shared views all the way into the store. Payloads under
+//!   [`crate::framing::GATHER_MIN_SEGMENT`] are copied out at decode instead, so
+//!   small inline objects held by the store or the directory never pin a slab and
+//!   a control-heavy connection keeps reusing the same pooled slabs.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
