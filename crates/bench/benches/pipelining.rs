@@ -6,8 +6,7 @@ use hoplite_core::buffer::{Payload, ProgressBuffer};
 use hoplite_core::object::{NodeId, ObjectId};
 use hoplite_core::reduce::ReduceSpec;
 use hoplite_transport::framing::{
-    decode_body, encode_body, encode_frame_vectored, read_frame, write_frame_vectored, Cork,
-    FrameReader,
+    decode_body, encode_frame_vectored, write_frame_vectored, Cork, FrameReader,
 };
 
 fn bench_progress_buffer(c: &mut Criterion) {
@@ -115,21 +114,21 @@ fn bench_framing(c: &mut Criterion) {
         payload: Payload::zeros(4 * 1024 * 1024),
         complete: false,
     };
-    // Decode consumes a shared receive buffer, exactly as `read_frame` hands it over.
-    let encoded = bytes::Bytes::from(encode_body(&msg).unwrap());
+    // Decode consumes a shared receive buffer holding the frame body (the wire frame
+    // minus its length prefix), as `FrameReader` hands a slab view over.
+    let encoded =
+        bytes::Bytes::from(encode_frame_vectored(&msg).unwrap().to_contiguous()[4..].to_vec());
     let mut group = c.benchmark_group("framing_push_block_4MB");
     group.throughput(Throughput::Bytes(4 * 1024 * 1024));
-    group.bench_function("encode", |b| b.iter(|| encode_body(&msg).unwrap()));
     // The send path: header-only work, the payload rides as a shared reference.
     group.bench_function("encode_vectored", |b| {
         b.iter(|| encode_frame_vectored(&msg).unwrap().frame_len())
     });
     group.bench_function("decode", |b| b.iter(|| decode_body(&encoded).unwrap()));
 
-    // The receive path proper: a 64 MiB stream of 4 MiB PushBlock frames, consumed
-    // (a) by the legacy `read_frame` (a fresh zeroed allocation per frame, then an
-    // `Arc` conversion copy) and (b) by the pooled slab reader (frames decode as
-    // views into a reused block-aligned slab; payloads are never copied).
+    // The receive path proper: a 64 MiB stream of 4 MiB PushBlock frames, consumed by
+    // the pooled slab reader (frames decode as views into a reused block-aligned
+    // slab; payloads are never copied).
     let mut stream = Vec::new();
     for i in 0..16u64 {
         write_frame_vectored(
@@ -145,17 +144,6 @@ fn bench_framing(c: &mut Criterion) {
         .unwrap();
     }
     group.throughput(Throughput::Bytes(stream.len() as u64));
-    group.bench_function("read_frame_alloc", |b| {
-        b.iter(|| {
-            let mut cursor = std::io::Cursor::new(stream.as_slice());
-            let mut frames = 0u64;
-            while (cursor.position() as usize) < stream.len() {
-                read_frame(&mut cursor).unwrap();
-                frames += 1;
-            }
-            frames
-        })
-    });
     group.bench_function("read_frame_slab", |b| {
         b.iter(|| {
             let mut reader = FrameReader::new(std::io::Cursor::new(stream.as_slice()));
@@ -168,19 +156,9 @@ fn bench_framing(c: &mut Criterion) {
         })
     });
 
-    // The component the pool removes, isolated: what `read_frame` pays per frame to
-    // acquire a receive buffer (a fresh zeroed 4 MiB allocation plus the `Arc`
-    // conversion copy) vs a warm slab checkout (a refcount scan and a pointer swap).
-    // The full-stream rows above are bounded below by the one unavoidable copy out
-    // of the source; this pair shows the allocation machinery itself.
+    // Acquiring a receive buffer from a warm pool: a refcount scan and a pointer
+    // swap, the allocation machinery the full-stream row above relies on.
     use hoplite_transport::framing::{RecvSlabPool, DEFAULT_RECV_SLAB};
-    group.bench_function("recv_buffer_alloc_per_frame", |b| {
-        b.iter(|| {
-            let buf = vec![0u8; DEFAULT_RECV_SLAB];
-            let arc: std::sync::Arc<[u8]> = std::sync::Arc::from(buf);
-            arc.len()
-        })
-    });
     group.bench_function("recv_buffer_slab_checkout", |b| {
         let mut pool = RecvSlabPool::new(DEFAULT_RECV_SLAB);
         let warm = pool.checkout(DEFAULT_RECV_SLAB);
@@ -229,9 +207,9 @@ fn bench_control_burst(c: &mut Criterion) {
     group.finish();
 }
 
-/// Shard-primary replication egress at r = 3: the same registration stream applied
-/// through `DirectoryService::handle_op` under star fan-out (two `DirReplicate`s per
-/// op) and chain replication (one, to the chain head). NodeIds 0..2 form the chain.
+/// Shard-primary replication egress at r = 3: a registration stream applied through
+/// `DirectoryService::handle_op`, one `DirReplicate` per op to the chain head.
+/// NodeIds 0..2 form the chain.
 fn bench_replication_fanout(c: &mut Criterion) {
     use hoplite_core::config::HopliteConfig;
     use hoplite_core::directory::DirectoryService;
@@ -240,8 +218,8 @@ fn bench_replication_fanout(c: &mut Criterion) {
 
     const OPS: usize = 256;
     let nodes: Vec<NodeId> = (0..3).map(NodeId).collect();
-    let base = HopliteConfig { directory_replication: 3, ..HopliteConfig::paper_testbed() };
-    let probe = DirectoryService::new(NodeId(0), &base, &nodes);
+    let cfg = HopliteConfig { directory_replication: 3, ..HopliteConfig::paper_testbed() };
+    let probe = DirectoryService::new(NodeId(0), &cfg, &nodes);
     let objects: Vec<ObjectId> = (0u64..)
         .map(|k| ObjectId::from_name(&format!("fanout-{k}")))
         .filter(|&o| probe.placement().shard_of(o) == 0)
@@ -249,27 +227,24 @@ fn bench_replication_fanout(c: &mut Criterion) {
         .collect();
     let mut group = c.benchmark_group("directory_replication_fanout");
     group.throughput(Throughput::Elements(OPS as u64));
-    for (label, chain) in [("r3_star", false), ("r3_chain", true)] {
-        let cfg = HopliteConfig { directory_chain_replication: chain, ..base.clone() };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut svc = DirectoryService::new(NodeId(0), &cfg, &nodes);
-                let mut out = Vec::new();
-                for &o in &objects {
-                    let op = DirOp::Register {
-                        object: o,
-                        holder: NodeId(1),
-                        status: ObjectStatus::Complete,
-                        size: 1 << 20,
-                    };
-                    svc.handle_op(op, &mut out);
-                }
-                let shipped = out.len();
-                out.clear();
-                shipped
-            })
-        });
-    }
+    group.bench_function("r3_chain", |b| {
+        b.iter(|| {
+            let mut svc = DirectoryService::new(NodeId(0), &cfg, &nodes);
+            let mut out = Vec::new();
+            for &o in &objects {
+                let op = DirOp::Register {
+                    object: o,
+                    holder: NodeId(1),
+                    status: ObjectStatus::Complete,
+                    size: 1 << 20,
+                };
+                svc.handle_op(op, &mut out);
+            }
+            let shipped = out.len();
+            out.clear();
+            shipped
+        })
+    });
     group.finish();
 }
 

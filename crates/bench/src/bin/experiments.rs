@@ -8,8 +8,7 @@
 //! ```
 //!
 //! Output is a set of aligned text tables (one series per column), mirroring the series
-//! plotted in the corresponding paper figure. `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison for each of them.
+//! plotted in the corresponding paper figure.
 
 use hoplite_apps::fault::{
     async_sgd_failure_timeline, broadcast_failover_demo, figure12_systems, serving_failure_timeline,

@@ -8,8 +8,8 @@
 //! sweep --check BASELINE [--against FRESH] [--tolerance 15%] [--matrix ci|full]
 //!     Compare a fresh run (from --against, or executed in-process) to the committed
 //!     baseline. Exit 1 on any regression: lost convergence, missing cell, or a
-//!     deterministic metric (completion_s, data_bytes_sent) off by more than the
-//!     tolerance.
+//!     deterministic metric (completion_s, data_bytes_sent, messages) off by more
+//!     than the tolerance.
 //!
 //! sweep --summarize FILE
 //!     Render the one-line-per-cell table from an existing document.
@@ -152,6 +152,7 @@ fn main() -> ExitCode {
             eprintln!("sweep: {e}");
             eprintln!("usage: sweep [--matrix ci|full] [--out FILE]");
             eprintln!("       sweep --check BASELINE [--against FRESH] [--tolerance 15%]");
+            eprintln!("           (gates convergence, completion_s, data_bytes_sent, messages)");
             eprintln!("       sweep --summarize FILE");
             ExitCode::FAILURE
         }

@@ -190,8 +190,10 @@ fn cells_of(doc: &Json) -> Result<Vec<&Json>, String> {
 /// Compare a fresh sweep against a committed baseline.
 ///
 /// Gated per cell: convergence must not regress, and the deterministic simulated
-/// metrics `completion_s` and `data_bytes_sent` must stay within `tolerance`
-/// (relative, e.g. `0.15`) of the baseline. Cells present only in the baseline are
+/// metrics `completion_s`, `data_bytes_sent` and `messages` must stay within
+/// `tolerance` (relative, e.g. `0.15`) of the baseline. `messages` catches a
+/// protocol change that sends more or fewer frames without moving the finish time
+/// or the bulk bytes. Cells present only in the baseline are
 /// regressions (coverage shrank); cells only in the fresh run are notes.
 pub fn check(baseline: &Json, fresh: &Json, tolerance: f64) -> Result<CheckReport, String> {
     let base_cells = cells_of(baseline)?;
@@ -225,7 +227,7 @@ pub fn check(baseline: &Json, fresh: &Json, tolerance: f64) -> Result<CheckRepor
             (false, false) => continue,
             (true, true) => {}
         }
-        for field in ["completion_s", "data_bytes_sent"] {
+        for field in ["completion_s", "data_bytes_sent", "messages"] {
             let bv = b.get(field).and_then(Json::as_f64).unwrap_or(0.0);
             let fv = f.get(field).and_then(Json::as_f64).unwrap_or(0.0);
             let scale = bv.abs().max(1e-12);
@@ -315,6 +317,10 @@ mod tests {
     }
 
     fn tiny_doc(completion: f64, converged: bool) -> Json {
+        tiny_doc_with_messages(completion, converged, 200)
+    }
+
+    fn tiny_doc_with_messages(completion: f64, converged: bool, messages: u64) -> Json {
         Json::Obj(vec![
             ("schema".into(), Json::Str(SCHEMA.into())),
             ("matrix".into(), Json::Str("test".into())),
@@ -327,6 +333,7 @@ mod tests {
                     ("failure".into(), Json::Null),
                     ("completion_s".into(), Json::Num(completion)),
                     ("data_bytes_sent".into(), Json::Num(1e8)),
+                    ("messages".into(), Json::Num(messages as f64)),
                 ])]),
             ),
         ])
@@ -341,6 +348,18 @@ mod tests {
         let bad = check(&base, &tiny_doc(0.130, true), 0.15).unwrap();
         assert_eq!(bad.regressions.len(), 1, "{:?}", bad.regressions);
         assert!(bad.regressions[0].contains("completion_s"));
+    }
+
+    #[test]
+    fn check_gates_the_message_count_at_the_same_tolerance() {
+        // Same finish time and bulk bytes, different frame count: a control-plane
+        // change the time and byte gates alone would not see.
+        let base = tiny_doc_with_messages(0.100, true, 200);
+        let ok = check(&base, &tiny_doc_with_messages(0.100, true, 225), 0.15).unwrap();
+        assert!(ok.regressions.is_empty(), "{:?}", ok.regressions);
+        let bad = check(&base, &tiny_doc_with_messages(0.100, true, 152), 0.15).unwrap();
+        assert_eq!(bad.regressions.len(), 1, "{:?}", bad.regressions);
+        assert!(bad.regressions[0].contains("messages"), "{:?}", bad.regressions);
     }
 
     #[test]

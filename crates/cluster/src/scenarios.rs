@@ -632,28 +632,25 @@ pub struct ReplicationFanoutResult {
     /// `DirReplicate` frames shipped by the measured shard's primary (its
     /// replication egress).
     pub primary_replicates: u64,
-    /// Cumulative acks folded and relayed upstream by chain middles, cluster-wide
-    /// (zero under star fan-out).
+    /// Cumulative acks folded and relayed upstream by chain middles, cluster-wide.
     pub chain_ack_depth: u64,
     /// Objects whose location record is present at the shard primary afterwards.
     pub recorded: usize,
 }
 
 /// Register a stream of objects into one dedicated directory shard replicated at
-/// `r = 3`, and measure the shard primary's replication egress (§3.5). Under star
-/// fan-out the primary ships every op `r - 1 = 2` times; under chain replication it
-/// ships once to the chain head, which relays — so the primary's egress halves while
-/// the same durability information flows (the tail's cumulative ack walks back up).
+/// `r = 3`, and measure the shard primary's replication egress (§3.5). The primary
+/// ships each op once, to the chain head, which relays — so its egress is one stream
+/// rather than `r - 1` while the same durability information flows (the tail's
+/// cumulative ack walks back up).
 pub fn directory_replication_fanout(
     env: &ScenarioEnv,
     n: usize,
     objects: usize,
-    chain: bool,
 ) -> ReplicationFanoutResult {
     assert!(n >= 5, "need three chain members plus writers");
     let mut hoplite = env.hoplite.clone();
     hoplite.directory_replication = 3;
-    hoplite.directory_chain_replication = chain;
     let mut cluster = SimCluster::new(n, hoplite, env.network.clone());
     // The last node primaries the measured shard; its chain runs [n-1, 0, 1].
     let dir_node = n - 1;
@@ -715,11 +712,11 @@ pub struct ChainKillResult {
 }
 
 /// Kill one member of an `r = 3` replication chain while a stream of registrations
-/// is in flight through it (§3.5 under chain replication). Whatever the position —
-/// head, middle, or tail — the surviving members must re-splice and converge with
-/// zero lost location records: client re-drive covers the unconfirmed window when
-/// the primary dies, and the primary's unacked-suffix re-ship plus the re-anchored
-/// cumulative ack cover in-flight ops when a relay dies.
+/// is in flight through it (§3.5). Whatever the position — head, middle, or tail —
+/// the surviving members must re-splice and converge with zero lost location
+/// records: client re-drive covers the unconfirmed window when the primary dies,
+/// and the primary's unacked-suffix re-ship plus the re-anchored cumulative ack
+/// cover in-flight ops when a relay dies.
 pub fn chain_kill_drill(
     env: &ScenarioEnv,
     n: usize,
@@ -730,7 +727,6 @@ pub fn chain_kill_drill(
     assert!(n >= 5, "need three chain members plus writers");
     let mut hoplite = env.hoplite.clone();
     hoplite.directory_replication = 3;
-    hoplite.directory_chain_replication = true;
     let mut cluster = SimCluster::new(n, hoplite, env.network.clone());
     let dir_node = n - 1;
     let victim = match kill {
@@ -817,7 +813,6 @@ pub fn mid_chain_resync_under_load(
     assert!(fail_at_s >= 0.1, "kill must land inside the registration stream");
     let mut hoplite = env.hoplite.clone();
     hoplite.directory_replication = 3;
-    hoplite.directory_chain_replication = true;
     // A tight chunk budget (a handful of entries per frame) and a short retained log
     // force the restarted middle down the chunked-stream path: by restart time far
     // more ops have been acked than the log retains, so the gap is not bridgeable.
@@ -1061,25 +1056,18 @@ mod tests {
     fn chain_replication_halves_primary_fanout_and_relays_acks() {
         let env = ScenarioEnv::paper_testbed();
         let (n, objects) = (8, 24);
-        let star = directory_replication_fanout(&env, n, objects, false);
-        let chain = directory_replication_fanout(&env, n, objects, true);
-        assert_eq!(star.recorded, objects, "star run registered everything");
+        let chain = directory_replication_fanout(&env, n, objects);
         assert_eq!(chain.recorded, objects, "chain run registered everything");
-        // Star ships every op to both backups; the chain primary ships each op once.
-        assert!(
-            star.primary_replicates >= 2 * objects as u64,
-            "star egress is r-1 per op, got {}",
-            star.primary_replicates
-        );
-        assert!(
-            chain.primary_replicates <= star.primary_replicates / 2,
-            "chain halves the primary's replication egress: {} vs {}",
+        // The primary ships each directory op once, to the chain head, not once per
+        // backup. Every Put is two directory ops (a Partial then a Complete
+        // registration), so that is two frames per Put where star fan-out sent four.
+        assert_eq!(
             chain.primary_replicates,
-            star.primary_replicates
+            2 * objects as u64,
+            "one primary DirReplicate per directory op"
         );
         // The durability signal still flows — as cumulative acks relayed upstream.
         assert!(chain.chain_ack_depth > 0, "chain middles relayed acks");
-        assert_eq!(star.chain_ack_depth, 0, "no ack relaying under star fan-out");
     }
 
     #[test]

@@ -50,18 +50,14 @@ pub struct HopliteConfig {
     pub directory_shards: Option<usize>,
     /// Number of replicas (primary + backups) of every directory shard (§3.5: the
     /// paper replicates the object directory so metadata survives node failures).
-    /// Clamped to the cluster size at placement time; `1` disables replication.
+    /// Clamped to the cluster size at placement time; `1` disables replication. The
+    /// replicas form a chain (primary → b1 → b2 → …, cumulative acks flowing back
+    /// from the tail), so the primary's replication egress is one stream at any `r`.
     pub directory_replication: usize,
-    /// With `directory_replication >= 3`, replicate each shard along a chain
-    /// (primary → b1 → b2 → …, cumulative acks flowing back from the tail) instead of
-    /// star fan-out: the primary's replication egress is one stream regardless of `r`,
-    /// at the cost of one extra relay hop of confirm latency per chain position.
-    /// Ignored for `directory_replication <= 2`, where chain and star coincide.
-    pub directory_chain_replication: bool,
     /// Upper bound, in bytes, on the state carried by one `DirSnapshotChunk` resync
     /// frame. Replica resync streams the shard as a cursor-driven sequence of chunks
-    /// no larger than this, interleaved with live op shipments, instead of one
-    /// O(objects) `DirSnapshot` burst. A chunk may exceed the bound only when a
+    /// no larger than this, interleaved with live op shipments, so the source never
+    /// serializes the whole shard at once. A chunk may exceed the bound only when a
     /// single entry alone is larger than it (entries are indivisible).
     pub snapshot_chunk_bytes: u64,
     /// Byte budget for inline small-object payloads cached in each directory shard.
@@ -101,7 +97,6 @@ impl Default for HopliteConfig {
             pull_timeout: Duration::from_millis(750),
             directory_shards: None,
             directory_replication: 2,
-            directory_chain_replication: true,
             snapshot_chunk_bytes: 256 * 1024,
             directory_inline_cache_bytes: 64 * 1024 * 1024,
             directory_log_retention: 1024,

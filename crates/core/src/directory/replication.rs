@@ -1,5 +1,5 @@
 //! Primary/backup replication of one directory shard (§3.5), with a sequenced,
-//! acknowledged op log and snapshot-based state transfer.
+//! acknowledged op log and chunked state transfer.
 //!
 //! The paper keeps the object directory available across node failures by
 //! replicating it; this module implements the per-replica half of that design as a
@@ -13,10 +13,12 @@
 //!   replication guarantee independent of client re-drive;
 //! * a **backup** replays shipped ops in sequence order against its mirror shard with
 //!   replies suppressed, acking the contiguously-applied prefix. A gap in the sequence
-//!   (ops lost while the replica was down or deposed) cannot be bridged from the log
-//!   alone: the replica asks for a **snapshot** ([`DirectoryShard::snapshot`]) from
-//!   the current primary, installs it, replays whatever shipped ops it buffered past
-//!   the snapshot point, and re-enters the replica set;
+//!   (ops lost while the replica was down or deposed) that the primary's retained log
+//!   does not cover is bridged by **state transfer**: the replica pulls the shard
+//!   from the current primary as a cursor-driven chunk stream
+//!   ([`DirectoryShard::snapshot_range`], installed by [`ShardReplica::install_chunk`]),
+//!   replays whatever shipped ops it buffered past the stream's consistency point,
+//!   and re-enters the replica set;
 //! * on promotion the new primary bumps its **epoch**; replicated ops stamped with a
 //!   lower epoch (stragglers from a deposed primary) are rejected, and any buffered
 //!   out-of-order suffix beyond the contiguously-applied prefix is discarded —
@@ -28,7 +30,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::object::{NodeId, ObjectId, ObjectStatus};
-use crate::protocol::{DirOp, Message, ShardSnapshot, SnapshotEntry};
+use crate::protocol::{DirOp, Message, SnapshotEntry};
 
 use super::shard::DirectoryShard;
 
@@ -61,8 +63,8 @@ pub enum ReplayOutcome {
 
 /// One retained log entry on the primary: the op at a sequence number, plus the
 /// confirmation to emit once every tracked backup has acked past it. The op itself
-/// is retained so a chain primary can re-ship the unacked suffix to a new chain
-/// head after a re-splice (see [`ShardReplica::unacked_suffix`]).
+/// is retained so the primary can re-ship it to a new chain head after a re-splice
+/// and replay it to a gapped replica (see [`ShardReplica::delta_ops`]).
 #[derive(Clone, Debug)]
 struct LogEntry {
     seq: u64,
@@ -100,6 +102,10 @@ pub struct ShardReplica {
     /// While resyncing via a chunk stream: the highest object id installed so far.
     /// A re-targeted request after source death resumes from here.
     resync_cursor: Option<ObjectId>,
+    /// Primary: `applied_seq` when this replica was promoted (0 for a replica that
+    /// led from the start). Every op past it was assigned, and shipped, at the
+    /// current epoch.
+    led_from: u64,
 }
 
 impl ShardReplica {
@@ -118,6 +124,7 @@ impl ShardReplica {
             retained: VecDeque::new(),
             retention,
             resync_cursor: None,
+            led_from: 0,
         }
     }
 
@@ -160,6 +167,7 @@ impl ShardReplica {
     /// continues from the applied prefix.
     pub fn promote_to(&mut self, epoch: u64) {
         if self.role == ReplicaRole::Backup {
+            self.led_from = self.applied_seq;
             self.pending.clear();
             self.resyncing = false;
             self.log.clear();
@@ -225,18 +233,9 @@ impl ShardReplica {
         self.applied_seq
     }
 
-    /// The retained ops with sequence numbers strictly greater than `after`, in log
-    /// order. A chain primary re-ships this suffix to the (possibly new) chain head
-    /// after a membership change, so ops that were in flight through a dead or
-    /// restarted chain member are not lost — the head's duplicate detection makes
-    /// re-shipping idempotent.
-    pub fn unacked_suffix(&self, after: u64) -> Vec<(u64, DirOp)> {
-        self.log.iter().filter(|e| e.seq > after).map(|e| (e.seq, e.op.clone())).collect()
-    }
-
     /// Record a backup's cumulative ack and return the confirms whose entries became
     /// fully acked. Acks from an older epoch (a backup that has not yet learned of a
-    /// promotion) are still valid — sequence numbers only restart through a snapshot,
+    /// promotion) are still valid — sequence numbers only restart through a resync,
     /// which re-baselines the acker — but acks from untracked nodes are ignored.
     pub fn record_ack(&mut self, backup: NodeId, seq: u64) -> Vec<(NodeId, Message)> {
         if self.role != ReplicaRole::Primary {
@@ -320,40 +319,11 @@ impl ShardReplica {
         ReplayOutcome::NeedsResync
     }
 
-    /// Capture this replica's state for transfer: `(epoch, applied_seq, state)`.
-    pub fn snapshot(&self) -> (u64, u64, ShardSnapshot) {
-        (self.epoch, self.applied_seq, self.shard.snapshot())
-    }
-
-    /// Install a snapshot captured by the current primary, discarding local state
-    /// wholesale (including a deposed primary's unacked suffix), then replay whatever
-    /// buffered shipments extend the snapshot contiguously. Returns the sequence
-    /// number to ack, or `None` when the snapshot is itself a deposed primary's
-    /// straggler (stale epoch) and was discarded.
-    pub fn install_snapshot(&mut self, epoch: u64, seq: u64, state: &ShardSnapshot) -> Option<u64> {
-        if epoch < self.epoch {
-            return None;
-        }
-        self.shard.restore(state);
-        self.role = ReplicaRole::Backup;
-        self.epoch = epoch;
-        self.applied_seq = seq;
-        self.resyncing = false;
-        self.resync_cursor = None;
-        self.log.clear();
-        self.acks.clear();
-        // The re-baselined sequence numbering invalidates the retained delta ring.
-        self.retained.clear();
-        // Everything at or below the snapshot point is already included in it.
-        self.pending = self.pending.split_off(&(seq + 1));
-        self.drain_pending();
-        Some(self.applied_seq)
-    }
-
     /// Install one chunk of a cursor-driven resync stream. The first chunk of a
-    /// stream (no cursor yet) replaces local state wholesale, exactly like
-    /// [`Self::install_snapshot`]; subsequent chunks extend the partial state and
-    /// advance the cursor. `seq` is the stream's consistency point (the source's
+    /// stream (no cursor yet) replaces local state wholesale — including a deposed
+    /// primary's unacked suffix — and drops the retained delta ring, whose sequence
+    /// numbering the stream re-baselines; subsequent chunks extend the partial state
+    /// and advance the cursor. `seq` is the stream's consistency point (the source's
     /// applied prefix when the stream opened, with entries mutated past it re-shipped
     /// as dirty by the source). Returns `None` for a deposed source's stale-epoch
     /// chunk (discarded), `Some(None)` for an accepted mid-stream chunk, and
@@ -381,7 +351,8 @@ impl ShardReplica {
         if !done {
             return Some(None);
         }
-        // Final chunk: the assembled state is consistent at (epoch, seq).
+        // Final chunk: the assembled state is consistent at (epoch, seq); everything
+        // buffered at or below `seq` is already included in it.
         self.role = ReplicaRole::Backup;
         self.epoch = epoch;
         self.applied_seq = seq;
@@ -419,6 +390,21 @@ impl ShardReplica {
             .cloned()
             .chain(self.log.iter().filter(|e| e.seq > after).map(|e| (e.seq, e.op.clone())))
             .collect()
+    }
+
+    /// The ops a primary re-ships to its chain head after a re-splice. After a
+    /// member death that is the unacked suffix: the log is trimmed only past the
+    /// whole chain's cumulative ack, so only ops in flight can be missing. A
+    /// re-admitted member may also lack ops the chain acked while it was out, so
+    /// after a re-admission the retained ring is re-shipped too — from the
+    /// promotion point only: older ops went out under an older epoch, and stamped
+    /// with this one, a caught-up member still at that epoch could not tell them
+    /// from a diverged history and would resync.
+    pub fn reship_ops(&self, readmission: bool) -> Vec<(u64, DirOp)> {
+        if readmission {
+            return self.delta_ops(self.led_from);
+        }
+        self.log.iter().map(|e| (e.seq, e.op.clone())).collect()
     }
 
     /// Replay one frame of a delta resync: ops extending the applied prefix are
@@ -534,7 +520,7 @@ fn apply_op(shard: &mut DirectoryShard, op: &DirOp, out: &mut Vec<(NodeId, Messa
 mod tests {
     use super::*;
     use crate::config::HopliteConfig;
-    use crate::protocol::QueryResult;
+    use crate::protocol::{QueryResult, ShardSnapshot};
 
     fn obj(name: &str) -> ObjectId {
         ObjectId::from_name(name)
@@ -555,6 +541,12 @@ mod tests {
             status: ObjectStatus::Complete,
             size: 100,
         }
+    }
+
+    /// Capture `r`'s full state the way a resync source serves it in one final
+    /// stream chunk: `(epoch, applied_seq, state)`.
+    fn capture(r: &ShardReplica) -> (u64, u64, ShardSnapshot) {
+        (r.epoch(), r.applied_seq(), r.shard().snapshot())
     }
 
     /// Ship one op primary → backup and ack it back, asserting the happy path.
@@ -737,9 +729,10 @@ mod tests {
         assert_eq!(backup.apply_replicated(primary.epoch(), seq5, &op5), ReplayOutcome::Buffered);
         // The snapshot was captured at seq 4 (after op4); installing it replays the
         // buffered op5 and the backup is fully caught up.
-        let (epoch, seq, state) = primary.snapshot();
+        let (epoch, seq, state) = capture(&primary);
         assert_eq!(seq, 5, "snapshot captured after op5");
-        let acked = backup.install_snapshot(epoch, seq, &state).expect("fresh snapshot");
+        let acked =
+            backup.install_chunk(epoch, seq, &state.entries, true).flatten().expect("fresh state");
         assert_eq!(acked, 5);
         for name in ["a", "b", "c", "d", "e"] {
             assert_eq!(backup.locations(obj(name)).len(), 1, "object {name} present");
@@ -776,8 +769,8 @@ mod tests {
         // wholesale by B's acked prefix.
         b.apply_primary(&register("f", 15), None, &mut out); // seq 4 under the new primacy
         p.begin_resync();
-        let (epoch, seq, state) = b.snapshot();
-        let acked = p.install_snapshot(epoch, seq, &state).expect("snapshot installs");
+        let (epoch, seq, state) = capture(&b);
+        let acked = p.install_chunk(epoch, seq, &state.entries, true).flatten().expect("installs");
         assert_eq!(acked, 4);
         assert_eq!(p.role(), ReplicaRole::Backup);
         assert!(p.locations(obj("d")).is_empty(), "unacked suffix discarded");
@@ -795,8 +788,8 @@ mod tests {
             seqs.push(primary.apply_primary(op, None, &mut out));
         }
         backup.begin_resync();
-        let (epoch, seq, state) = primary.snapshot();
-        assert_eq!(backup.install_snapshot(epoch, seq, &state), Some(4));
+        let (epoch, seq, state) = capture(&primary);
+        assert_eq!(backup.install_chunk(epoch, seq, &state.entries, true), Some(Some(4)));
         // Shipments delayed in flight from before the snapshot now arrive: each is a
         // duplicate of the installed prefix and re-acks the same watermark without
         // double-applying.
@@ -831,8 +824,8 @@ mod tests {
             &mut out,
         );
         backup.begin_resync();
-        let (epoch, seq, state) = primary.snapshot();
-        backup.install_snapshot(epoch, seq, &state).expect("snapshot installs");
+        let (epoch, seq, state) = capture(&primary);
+        backup.install_chunk(epoch, seq, &state.entries, true).flatten().expect("installs");
         assert_eq!(backup.shard().subscriber_count(obj("keep")), 1);
         assert_eq!(backup.shard().subscriber_count(obj("drop")), 0);
     }
@@ -841,9 +834,9 @@ mod tests {
     fn stale_snapshot_from_deposed_primary_is_rejected() {
         let (mut primary, mut backup) = pair();
         replicate(&mut primary, &mut backup, &register("x", 1));
-        let (old_epoch, old_seq, old_state) = primary.snapshot();
+        let (old_epoch, old_seq, old_state) = capture(&primary);
         backup.promote_to(2);
-        assert_eq!(backup.install_snapshot(old_epoch, old_seq, &old_state), None);
+        assert_eq!(backup.install_chunk(old_epoch, old_seq, &old_state.entries, true), None);
         assert_eq!(backup.role(), ReplicaRole::Primary, "stale snapshot cannot demote");
     }
 
@@ -882,6 +875,45 @@ mod tests {
     }
 
     #[test]
+    fn reship_sends_the_unacked_suffix_after_a_death_and_this_epochs_ring_after_a_rejoin() {
+        let seqs = |ops: Vec<(u64, DirOp)>| ops.into_iter().map(|(s, _)| s).collect::<Vec<_>>();
+        let (mut primary, mut backup) = pair();
+        let (_, mut tail) = pair();
+        primary.set_tracked_backups(&[NodeId(99)]);
+        for op in [register("a", 1), register("b", 2)] {
+            replicate(&mut primary, &mut backup, &op);
+            assert!(matches!(
+                tail.apply_replicated(0, primary.applied_seq(), &op),
+                ReplayOutcome::Acked(_)
+            ));
+        }
+        let mut out = Vec::new();
+        primary.apply_primary(&register("c", 3), None, &mut out);
+        // Ops 1 and 2 are acked by the whole chain: a death strands only op 3, but a
+        // rejoined member may lack all three.
+        assert_eq!(seqs(primary.reship_ops(false)), vec![3]);
+        assert_eq!(seqs(primary.reship_ops(true)), vec![1, 2, 3]);
+        // A promoted backup leaves out what it applied under the old epoch: a
+        // caught-up member still at that epoch would read those ops, re-stamped, as
+        // a diverged history.
+        backup.promote_to(primary.epoch() + 1);
+        assert!(backup.reship_ops(true).is_empty());
+        assert_eq!(
+            tail.apply_replicated(backup.epoch(), 1, &register("a", 1)),
+            ReplayOutcome::NeedsResync,
+            "the resync the rule avoids"
+        );
+        let s3 = backup.apply_primary(&register("d", 4), None, &mut out);
+        assert_eq!(seqs(backup.reship_ops(true)), vec![s3]);
+        // The caught-up member takes the promoted primary's first op as a seamless
+        // epoch handover.
+        assert_eq!(
+            tail.apply_replicated(backup.epoch(), s3, &register("d", 4)),
+            ReplayOutcome::Acked(s3)
+        );
+    }
+
+    #[test]
     fn delta_coverage_is_bounded_by_the_retention_window() {
         let cfg = HopliteConfig { directory_log_retention: 2, ..HopliteConfig::small_for_tests() };
         let mut primary = ShardReplica::new(DirectoryShard::new(0, cfg), ReplicaRole::Primary);
@@ -907,7 +939,7 @@ mod tests {
             primary.apply_primary(&register(&format!("obj-{i:02}"), i), None, &mut out);
         }
         backup.begin_resync();
-        let (epoch, seq, _) = primary.snapshot();
+        let (epoch, seq, _) = capture(&primary);
         // Stream the shard in bounded chunks, feeding the receiver's cursor back
         // into each range request — the same loop the service runs over the wire.
         let budget = 200;
@@ -950,7 +982,7 @@ mod tests {
         assert_eq!(backup.install_chunk(1, 5, &[], true), None);
         assert_eq!(backup.locations(obj("only-mine")).len(), 1);
 
-        // A fresh stream replaces local state wholesale, like install_snapshot.
+        // A fresh stream replaces local state wholesale.
         backup.begin_resync();
         let (entries, done) = primary.shard().snapshot_range(None, u64::MAX);
         assert!(done);
@@ -968,7 +1000,7 @@ mod tests {
             primary.apply_primary(&register(&format!("pre{i}"), i), None, &mut out);
         }
         backup.begin_resync();
-        let (epoch, seq, _) = primary.snapshot();
+        let (epoch, seq, _) = capture(&primary);
         let (first, done) = primary.shard().snapshot_range(None, 100);
         assert!(!done);
         assert_eq!(backup.install_chunk(epoch, seq, &first, false), Some(None));

@@ -19,8 +19,9 @@
 //!
 //! [`DirectoryService`] is the server half living inside each node: the shard
 //! replicas this node hosts, op routing (apply as primary / forward elsewhere),
-//! sequenced log shipping with acks and origin confirms, snapshot serving for
-//! recovering replicas, and epoch-stamped promotion when a primary dies (§3.5).
+//! sequenced log shipping along each shard's replication chain with acks and origin
+//! confirms, chunked state serving for recovering replicas, and epoch-stamped
+//! promotion when a primary dies (§3.5).
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -195,7 +196,7 @@ impl PlacementView {
         self.rank[shard]
     }
 
-    /// The shard's replication chain under chain mode: the current primary first,
+    /// The shard's replication chain: the current primary first,
     /// then every other live replica-set member (resyncing ones included — they are
     /// shipped to) in cyclic order from the primary's position. Every node folds the
     /// same failure/recovery notices into the same rule, so all members compute the
@@ -305,16 +306,13 @@ pub struct DirectoryService {
     /// Shards awaiting a snapshot, mapped to the node the request went to (so the
     /// request can be re-targeted if that node dies mid-transfer).
     resync_sources: BTreeMap<usize, NodeId>,
-    /// `true` between [`DirectoryService::begin_local_resync`] and the installation
-    /// of the last outstanding snapshot.
+    /// `true` between [`DirectoryService::begin_local_resync`] and the completion
+    /// of the last outstanding resync stream.
     local_resync: bool,
     /// Set when the local resync completes; the facade drains it with
     /// [`DirectoryService::take_readmission_announcement`] and broadcasts
     /// `DirResynced`.
     announce_readmission: bool,
-    /// Chain replication enabled by configuration (effective only with
-    /// `directory_replication >= 3`; chain and star coincide below that).
-    chain: bool,
     /// Cumulative `DirAck`s this node folded and relayed upstream as a chain middle
     /// member. Drained by the facade into `NodeMetrics::chain_ack_depth`.
     chain_acks_relayed: u64,
@@ -368,7 +366,6 @@ impl DirectoryService {
             resync_sources: BTreeMap::new(),
             local_resync: false,
             announce_readmission: false,
-            chain: cfg.directory_chain_replication,
             chain_acks_relayed: 0,
             streams: BTreeMap::new(),
             snapshot_chunks_sent: 0,
@@ -413,65 +410,45 @@ impl DirectoryService {
         self.local_resync
     }
 
-    /// The live backups of `shard` in this node's view (replica-set members other
-    /// than this node that are not failed — resyncing members included, since they
-    /// are catching up on the same log).
-    fn live_backups(&self, shard: usize) -> Vec<NodeId> {
-        self.view
-            .placement()
-            .replica_set(shard)
-            .into_iter()
-            .filter(|&n| n != self.me && self.view.is_alive(n))
-            .collect()
-    }
-
-    /// Whether this deployment replicates shards along a chain (primary → b1 → b2,
-    /// cumulative acks flowing back from the tail) instead of star fan-out. With
-    /// fewer than three replicas the two topologies coincide, so star is kept.
-    fn chain_enabled(&self) -> bool {
-        self.chain && self.view.placement().replication() >= 3
-    }
-
     /// The backups whose acks gate durability when this node is `shard`'s primary:
-    /// just the chain head under chain replication (its cumulative ack, folded back
-    /// hop by hop from the tail, certifies the whole chain), every live backup under
-    /// star fan-out.
+    /// just the chain head (its cumulative ack, folded back hop by hop from the
+    /// tail, certifies the whole chain). Empty for a lone replica.
     fn tracked_backups(&self, shard: usize) -> Vec<NodeId> {
-        if self.chain_enabled() {
-            self.view.chain(shard).into_iter().skip(1).take(1).collect()
-        } else {
-            self.live_backups(shard)
-        }
+        self.view.chain(shard).into_iter().skip(1).take(1).collect()
     }
 
     /// This node's downstream neighbour on the shard's replication chain (`None` at
-    /// the tail, or when chain mode is off / this node is not on the chain).
+    /// the tail, or when this node is not on the chain).
     fn chain_successor(&self, shard: usize) -> Option<NodeId> {
-        if !self.chain_enabled() {
-            return None;
-        }
         let chain = self.view.chain(shard);
         let pos = chain.iter().position(|&n| n == self.me)?;
         chain.get(pos + 1).copied()
     }
 
     /// This node's upstream neighbour on the shard's replication chain (`None` at
-    /// the primary, or when chain mode is off / this node is not on the chain).
+    /// the primary, or when this node is not on the chain).
     fn chain_predecessor(&self, shard: usize) -> Option<NodeId> {
-        if !self.chain_enabled() {
-            return None;
-        }
         let chain = self.view.chain(shard);
         let pos = chain.iter().position(|&n| n == self.me)?;
         pos.checked_sub(1).map(|p| chain[p])
     }
 
-    /// Chain mode, primary side: after a membership change (chain member died or was
-    /// re-admitted), re-anchor the tracked head and re-ship the retained unacked
-    /// suffix to it, so ops that were in flight through the old chain are not lost.
-    /// The head's duplicate detection makes the re-ship idempotent; a head that is
-    /// too far behind answers with a snapshot request instead of an ack.
-    fn resplice_chain(&mut self, shard: usize, out: &mut Vec<(NodeId, Message)>) {
+    /// Primary side of a membership change (a chain member died or was
+    /// re-admitted): re-anchor the tracked head and re-ship to it what the re-formed
+    /// chain may lack ([`ShardReplica::reship_ops`]): the unacked suffix after a
+    /// death, so ops in flight through the old chain are not lost, plus the
+    /// retained ring of the current epoch after a re-admission, so the rejoined
+    /// member also gets ops the chain acked while it was out. A member already
+    /// holding an op at this epoch re-acks the duplicate, and one whose prefix ends
+    /// at the promotion point takes the first new op as a seamless epoch handover;
+    /// a head behind by more than the re-shipped ops sees a sequence gap and
+    /// requests a resync instead of acking.
+    fn resplice_chain(
+        &mut self,
+        shard: usize,
+        readmission: bool,
+        out: &mut Vec<(NodeId, Message)>,
+    ) {
         let tracked = self.tracked_backups(shard);
         let Some(replica) = self.replicas.get_mut(&shard) else { return };
         if replica.role() != ReplicaRole::Primary {
@@ -480,7 +457,7 @@ impl DirectoryService {
         out.extend(replica.set_tracked_backups(&tracked));
         let Some(&head) = tracked.first() else { return };
         let epoch = replica.epoch();
-        for (seq, op) in replica.unacked_suffix(0) {
+        for (seq, op) in replica.reship_ops(readmission) {
             out.push((head, Message::DirReplicate { shard: shard as u64, epoch, seq, op }));
         }
     }
@@ -507,8 +484,7 @@ impl DirectoryService {
                         stream.dirty.insert(object);
                     }
                 }
-                // Under star fan-out every live backup is shipped to and tracked;
-                // under chain replication only the chain head is — it relays the op
+                // Only the chain head is shipped to and tracked: it relays the op
                 // down the chain and its cumulative ack certifies the whole chain.
                 let backups = self.tracked_backups(shard);
                 let replica = self.replicas.get_mut(&shard).expect("primary hosts its shard");
@@ -540,12 +516,11 @@ impl DirectoryService {
         }
     }
 
-    /// Replay an op shipped by a shard's primary (or, under chain replication, by
-    /// this node's chain predecessor) into this node's backup replica. Under star
-    /// fan-out an applied op is acked straight back to the shipper; on a chain a
-    /// non-tail member instead relays the op to its successor and stays silent — the
-    /// tail's ack flows back hop by hop through [`DirectoryService::handle_ack`].
-    /// A log gap this replica cannot bridge is answered with a snapshot request.
+    /// Replay an op shipped by this node's chain predecessor into its backup
+    /// replica. The tail acks an applied op straight back to the shipper; a non-tail
+    /// member instead relays the op to its successor and stays silent — the tail's
+    /// ack flows back hop by hop through [`DirectoryService::handle_ack`]. A log gap
+    /// this replica cannot bridge is answered with a resync request.
     pub fn handle_replicate(
         &mut self,
         shard: usize,
@@ -604,7 +579,7 @@ impl DirectoryService {
     }
 
     /// Fold a backup's cumulative ack into the shard's log, emitting any confirms
-    /// that became due. On a replication chain an ack arriving at a *backup* is the
+    /// that became due. An ack arriving at a *backup* is the
     /// downstream chain's cumulative ack: it is bounded by this member's own applied
     /// prefix (the chain guarantee is "applied by me *and* everyone below me") and
     /// relayed one hop upstream toward the primary.
@@ -792,40 +767,17 @@ impl DirectoryService {
         ));
     }
 
-    /// Install a snapshot into this node's replica of `shard`. Returns `true` when
-    /// the snapshot was installed. When the installation completes the node's local
-    /// resync, a re-admission announcement becomes pending — the caller checks
-    /// [`DirectoryService::take_readmission_announcement`] after this (and after
-    /// [`DirectoryService::on_peer_failed`], which can also complete a resync by
-    /// abandoning a sourceless shard).
-    #[allow(clippy::too_many_arguments)] // mirrors the DirSnapshot wire fields
-    pub fn handle_snapshot(
-        &mut self,
-        shard: usize,
-        epoch: u64,
-        seq: u64,
-        rank: usize,
-        state: &crate::protocol::ShardSnapshot,
-        from: NodeId,
-        out: &mut Vec<(NodeId, Message)>,
-    ) -> bool {
-        self.view.note_epoch(shard, epoch);
-        let Some(replica) = self.replicas.get_mut(&shard) else { return false };
-        let Some(acked) = replica.install_snapshot(epoch, seq, state) else { return false };
-        self.view.set_rank(shard, rank);
-        self.resync_sources.remove(&shard);
-        out.push((from, Message::DirAck { shard: shard as u64, epoch, seq: acked }));
-        self.maybe_complete_local_resync();
-        true
-    }
-
     /// Install one chunk of a resync stream into this node's replica of `shard`,
     /// then either request the next chunk from the server's cursor or — on the
-    /// final chunk — ack and complete the resync, exactly like
-    /// [`DirectoryService::handle_snapshot`]. Returns `true` when the stream
-    /// completed here. Chunks for a shard with no outstanding resync (a completed
-    /// or re-targeted stream) and chunks from a source this view considers dead
-    /// are dropped: they are stragglers of an abandoned stream.
+    /// final chunk — adopt the source's rank cursor, ack, and complete the resync.
+    /// Returns `true` when the stream completed here. When the completion finishes
+    /// the node's local resync, a re-admission announcement becomes pending — the
+    /// caller checks [`DirectoryService::take_readmission_announcement`] after this
+    /// (and after [`DirectoryService::on_peer_failed`], which can also complete a
+    /// resync by abandoning a sourceless shard). Chunks for a shard with no
+    /// outstanding resync (a completed or re-targeted stream) and chunks from a
+    /// source this view considers dead are dropped: they are stragglers of an
+    /// abandoned stream.
     #[allow(clippy::too_many_arguments)] // mirrors the DirSnapshotChunk wire fields
     pub fn handle_snapshot_chunk(
         &mut self,
@@ -876,9 +828,9 @@ impl DirectoryService {
     }
 
     /// Replay one frame of a delta resync into this node's replica of `shard`.
-    /// Returns `true` when the final frame completed the resync (acked like a
-    /// snapshot installation). Frames for a shard with no outstanding resync, or
-    /// from a dead source, are dropped.
+    /// Returns `true` when the final frame completed the resync (acked like the
+    /// final chunk of a state stream). Frames for a shard with no outstanding
+    /// resync, or from a dead source, are dropped.
     pub fn handle_resync_delta(
         &mut self,
         shard: usize,
@@ -982,8 +934,7 @@ impl DirectoryService {
         let mut promoted = Vec::new();
         let shards: Vec<usize> = self.replicas.keys().copied().collect();
         for shard in shards {
-            let chain_member_died =
-                self.chain_enabled() && self.view.placement().hosts(peer, shard);
+            let chain_member_died = self.view.placement().hosts(peer, shard);
             let backups = self.tracked_backups(shard);
             let role = {
                 let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
@@ -991,11 +942,11 @@ impl DirectoryService {
                 replica.role()
             };
             if role == ReplicaRole::Primary {
-                // The dead node no longer gates durability. On a chain, re-anchor
-                // the tracked head and re-ship the unacked suffix so ops that were
-                // in flight through the dead member are not lost.
+                // The dead node no longer gates durability. If it was on this
+                // shard's chain, re-anchor the tracked head and re-ship the unacked
+                // suffix so ops that were in flight through it are not lost.
                 if chain_member_died {
-                    self.resplice_chain(shard, out);
+                    self.resplice_chain(shard, false, out);
                 } else {
                     let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
                     out.extend(replica.set_tracked_backups(&backups));
@@ -1058,11 +1009,11 @@ impl DirectoryService {
         self.view.on_peer_recovered(peer);
     }
 
-    /// Digest a peer's catch-up announcement (full replica again). Under chain
-    /// replication the re-admitted member splices back into every chain it belongs
-    /// to: a primary re-anchors its tracked head and re-ships the unacked suffix,
-    /// and a downstream member re-anchors the ack flow at its (possibly new)
-    /// predecessor — `out` carries the resulting shipments and acks.
+    /// Digest a peer's catch-up announcement (full replica again). The re-admitted
+    /// member splices back into every chain it belongs to: a primary re-anchors its
+    /// tracked head and re-ships this epoch's retained log, and a downstream member
+    /// re-anchors the ack flow at its (possibly new) predecessor — `out` carries
+    /// the resulting shipments and acks.
     pub fn on_peer_readmitted(&mut self, peer: NodeId, out: &mut Vec<(NodeId, Message)>) {
         self.view.on_peer_readmitted(peer);
         let shards: Vec<usize> = self.replicas.keys().copied().collect();
@@ -1071,29 +1022,8 @@ impl DirectoryService {
                 continue;
             }
             let role = self.replicas.get(&shard).expect("iterating hosted shards").role();
-            if !self.chain_enabled() {
-                // Star fan-out: ops applied after the peer's catch-up stream closed
-                // but before this announcement were never shipped (the peer was not
-                // yet tracked). Re-ship the retained suffix: a caught-up peer drops
-                // the duplicates, a peer missing ops within the ring applies them,
-                // and a peer behind by more than the ring sees a sequence gap and
-                // requests a (delta) resync itself.
-                if role == ReplicaRole::Primary && peer != self.me {
-                    let backups = self.tracked_backups(shard);
-                    let replica = self.replicas.get_mut(&shard).expect("iterating hosted shards");
-                    out.extend(replica.set_tracked_backups(&backups));
-                    let epoch = replica.epoch();
-                    for (seq, op) in replica.delta_ops(0) {
-                        out.push((
-                            peer,
-                            Message::DirReplicate { shard: shard as u64, epoch, seq, op },
-                        ));
-                    }
-                }
-                continue;
-            }
             if role == ReplicaRole::Primary {
-                self.resplice_chain(shard, out);
+                self.resplice_chain(shard, true, out);
             } else if let Some(pred) = self.chain_predecessor(shard) {
                 let replica = self.replicas.get(&shard).expect("iterating hosted shards");
                 if !replica.is_resyncing() {
@@ -1627,17 +1557,6 @@ mod tests {
                         &mut out,
                     );
                 }
-                Message::DirSnapshot { shard, epoch, seq, rank, state } => {
-                    svc.handle_snapshot(
-                        shard as usize,
-                        epoch,
-                        seq,
-                        rank as usize,
-                        &state,
-                        from,
-                        &mut out,
-                    );
-                }
                 Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
                     svc.handle_snapshot_chunk(
                         shard as usize,
@@ -1702,22 +1621,6 @@ mod tests {
         );
         assert_eq!(svcs[1].take_chain_ack_relays(), 1, "middle relayed the tail's ack");
         assert_eq!(svcs[0].replica(0).unwrap().unacked_len(), 0, "primary log trimmed");
-    }
-
-    #[test]
-    fn chain_disabled_falls_back_to_star_fanout() {
-        let cfg = HopliteConfig { directory_chain_replication: false, ..chain_cfg() };
-        let ns = nodes(3);
-        let mut p = DirectoryService::new(NodeId(0), &cfg, &ns);
-        let o = obj_in_shard(&p, 0);
-        let mut out = Vec::new();
-        assert!(p.handle_op(reg(o, 1), &mut out));
-        let mut ships: Vec<NodeId> = out
-            .iter()
-            .filter_map(|(to, m)| matches!(m, Message::DirReplicate { .. }).then_some(*to))
-            .collect();
-        ships.sort_by_key(|n| n.0);
-        assert_eq!(ships, vec![NodeId(1), NodeId(2)], "star ships to every live backup");
     }
 
     #[test]
@@ -1841,6 +1744,136 @@ mod tests {
         }
         assert!(confirms.iter().any(|(to, _)| *to == NodeId(2)), "op 2 confirmed: {confirms:?}");
         assert_eq!(svcs[0].replica(0).unwrap().unacked_len(), 0);
+    }
+
+    #[test]
+    fn readmission_at_r2_reships_the_retained_suffix_to_the_backup() {
+        // r = 2, shard 0 replicas [0, 1]. While node 1 is down, node 0 applies three
+        // ops as a lone replica: each is durable at once, so the log is trimmed into
+        // the retained ring and nothing is left unacked. On node 1's re-admission the
+        // re-splice must still ship those ops to it — they never reached it.
+        let cfg = HopliteConfig::small_for_tests();
+        let ns = nodes(3);
+        let mut primary = DirectoryService::new(NodeId(0), &cfg, &ns);
+        primary.on_peer_failed(NodeId(1), &mut Vec::new());
+        let objects: Vec<ObjectId> = (0u64..)
+            .map(|k| obj(&format!("readmit-r2-{k}")))
+            .filter(|&o| primary.placement().shard_of(o) == 0)
+            .take(3)
+            .collect();
+        let mut out = Vec::new();
+        for &o in &objects {
+            assert!(primary.handle_op(reg(o, 2), &mut out));
+        }
+        assert!(!out.iter().any(|(_, m)| matches!(m, Message::DirReplicate { .. })));
+        assert_eq!(primary.replica(0).unwrap().unacked_len(), 0, "lone replica trims at once");
+        primary.on_peer_recovered(NodeId(1));
+        let mut q0 = Vec::new();
+        primary.on_peer_readmitted(NodeId(1), &mut q0);
+        let shipped: Vec<u64> = q0
+            .iter()
+            .filter_map(|(to, m)| match m {
+                Message::DirReplicate { shard: 0, seq, .. } if *to == NodeId(1) => Some(*seq),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(shipped, vec![1, 2, 3], "retained suffix re-shipped: {q0:?}");
+        // The backup, whose prefix ends before those ops, applies them and acks all.
+        let mut backup = DirectoryService::new(NodeId(1), &cfg, &ns);
+        let mut acks = Vec::new();
+        for (_, m) in q0 {
+            if let Message::DirReplicate { shard, epoch, seq, op } = m {
+                backup.handle_replicate(shard as usize, epoch, seq, &op, NodeId(0), &mut acks);
+            }
+        }
+        assert!(acks.iter().any(
+            |(to, m)| *to == NodeId(0) && matches!(m, Message::DirAck { shard: 0, seq: 3, .. })
+        ));
+        for &o in &objects {
+            assert_eq!(backup.locations(o).map(|l| l.len()), Some(1));
+        }
+    }
+
+    #[test]
+    fn readmission_after_a_promotion_does_not_resync_a_caught_up_head() {
+        // r = 3, shard 0 chain [0, 1, 2]. Two ops reach every member at epoch 0, then
+        // the primary dies and node 1 is promoted at a higher epoch. Node 0 restarts,
+        // resyncs from node 1 and is re-admitted before any new op: the re-formed
+        // chain is [1, 2, 0], so node 2 — still at the old epoch — is the head. The
+        // re-splice must not hand it the old-epoch ops under the new epoch, which it
+        // cannot tell apart from a diverged history and would answer with a full
+        // state transfer.
+        let mut svcs = chain_svcs();
+        let objects: Vec<ObjectId> = (0u64..)
+            .map(|k| obj(&format!("promoted-readmit-{k}")))
+            .filter(|&o| svcs[0].placement().shard_of(o) == 0)
+            .take(2)
+            .collect();
+        for &o in &objects {
+            let mut out = Vec::new();
+            assert!(svcs[0].handle_op(reg(o, 2), &mut out));
+            let mut queue: Vec<_> = out.into_iter().map(|(to, m)| (NodeId(0), to, m)).collect();
+            pump(&mut svcs, &mut queue, &[]);
+        }
+        let mut queue = Vec::new();
+        for i in [1u32, 2] {
+            let mut out = Vec::new();
+            svcs[i as usize].on_peer_failed(NodeId(0), &mut out);
+            queue.extend(out.into_iter().map(|(to, m)| (NodeId(i), to, m)));
+        }
+        pump(&mut svcs, &mut queue, &[NodeId(0)]);
+        assert_eq!(svcs[1].replica(0).unwrap().role(), ReplicaRole::Primary);
+        assert!(svcs[1].replica(0).unwrap().epoch() > svcs[2].replica(0).unwrap().epoch());
+
+        // Node 0 restarts empty and pulls the shard back from the new primary.
+        let cfg = chain_cfg();
+        svcs[0] = DirectoryService::new(NodeId(0), &cfg, &nodes(3));
+        let mut out = Vec::new();
+        assert!(svcs[0].begin_local_resync(&mut out));
+        svcs[2].on_peer_recovered(NodeId(0));
+        let mut queue: Vec<_> = out.into_iter().map(|(to, m)| (NodeId(0), to, m)).collect();
+        while let Some((from, to, msg)) = queue.pop() {
+            queue.extend(deliver(&mut svcs, from, to, msg));
+        }
+        assert!(svcs[0].take_readmission_announcement(), "node 0 caught up");
+
+        // Every node digests the re-admission; record what the re-splice sets off.
+        let mut queue = Vec::new();
+        for i in [0u32, 1, 2] {
+            let mut out = Vec::new();
+            svcs[i as usize].on_peer_readmitted(NodeId(0), &mut out);
+            queue.extend(out.into_iter().map(|(to, m)| (NodeId(i), to, m)));
+        }
+        let mut sent = Vec::new();
+        while let Some((from, to, msg)) = queue.pop() {
+            sent.push((from, to, msg.clone()));
+            queue.extend(deliver(&mut svcs, from, to, msg));
+        }
+        assert!(
+            !sent.iter().any(|(from, _, m)| *from == NodeId(2)
+                && matches!(m, Message::DirSnapshotRequest { .. })),
+            "the caught-up head must not resync: {sent:?}"
+        );
+        assert!(!svcs[2].replica(0).unwrap().is_resyncing());
+        for svc in &svcs {
+            for &o in &objects {
+                assert_eq!(svc.locations(o).map(|l| l.len()), Some(1));
+            }
+        }
+
+        // The next op crosses the whole re-formed chain at the new epoch.
+        let o3 = (0u64..)
+            .map(|k| obj(&format!("promoted-readmit-next-{k}")))
+            .find(|&o| svcs[1].placement().shard_of(o) == 0)
+            .unwrap();
+        let mut out = Vec::new();
+        assert!(svcs[1].handle_op(reg(o3, 2), &mut out));
+        let mut queue: Vec<_> = out.into_iter().map(|(to, m)| (NodeId(1), to, m)).collect();
+        let confirms = pump(&mut svcs, &mut queue, &[]);
+        assert!(!confirms.is_empty(), "op 3 confirmed through the chain");
+        for svc in &svcs {
+            assert_eq!(svc.locations(o3).map(|l| l.len()), Some(1));
+        }
     }
 
     // --------------------------------------------------- chunked/delta resync ----
@@ -2080,11 +2113,10 @@ mod tests {
 
     #[test]
     fn chunk_stream_resumes_from_the_cursor_when_the_source_dies() {
-        // Three nodes, r = 3 (star fan-out), zero log retention: a restarted node
+        // Three nodes, r = 3 (chain [0, 1, 2]), zero log retention: a restarted node
         // can only be served state chunks, never a delta.
         let cfg = HopliteConfig {
             directory_replication: 3,
-            directory_chain_replication: false,
             directory_log_retention: 0,
             snapshot_chunk_bytes: 256,
             ..HopliteConfig::small_for_tests()
@@ -2097,8 +2129,9 @@ mod tests {
             .filter(|&o| svcs[0].placement().shard_of(o) == 0)
             .take(18)
             .collect();
-        // Populate shard 0 through its primary; both backups apply and ack, so the
-        // primary's log is fully trimmed (and nothing is retained).
+        // Populate shard 0 through its primary; the op relays down the chain and the
+        // tail's ack walks back up, so the primary's log is fully trimmed (and
+        // nothing is retained).
         let mut out = Vec::new();
         for &o in &objects {
             assert!(svcs[0].handle_op(reg(o, 2), &mut out));

@@ -28,7 +28,7 @@ use std::ops::Bound::{Excluded, Unbounded};
 use crate::buffer::Payload;
 use crate::config::HopliteConfig;
 use crate::object::{NodeId, ObjectId, ObjectStatus};
-use crate::protocol::{Message, QueryResult, ShardSnapshot, SnapshotEntry};
+use crate::protocol::{Message, QueryResult, SnapshotEntry};
 
 /// One location entry for an object.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -433,10 +433,12 @@ impl DirectoryShard {
         }
     }
 
-    /// Capture the full shard state for transfer to a recovering replica (§3.5 state
-    /// transfer). Entries come out sorted by object id (the map is ordered).
-    pub fn snapshot(&self) -> ShardSnapshot {
-        ShardSnapshot {
+    /// The full shard state in one piece, sorted by object id (the map is ordered):
+    /// the oracle the chunked [`DirectoryShard::snapshot_range`] walk is checked
+    /// against.
+    #[cfg(test)]
+    pub fn snapshot(&self) -> crate::protocol::ShardSnapshot {
+        crate::protocol::ShardSnapshot {
             entries: self.entries.iter().map(|(o, e)| Self::entry_snapshot(*o, e)).collect(),
         }
     }
@@ -493,9 +495,8 @@ impl DirectoryShard {
         self.lease_wheel_prev.clear();
     }
 
-    /// Install (upsert) a slice of snapshot entries, maintaining the inline-cache
-    /// accounting and re-arming lease candidates. Used both by whole-snapshot
-    /// restore and by incremental chunk installation.
+    /// Install (upsert) a slice of snapshot entries (one resync chunk), maintaining
+    /// the inline-cache accounting and re-arming lease candidates.
     pub fn install_entries(&mut self, entries: &[SnapshotEntry]) {
         for se in entries {
             if let Some(old) = self.entries.get(&se.object) {
@@ -549,14 +550,6 @@ impl DirectoryShard {
             self.entries.insert(se.object, entry);
         }
         self.enforce_inline_budget();
-    }
-
-    /// Replace this shard's state with a snapshot captured by the current primary.
-    /// Whatever the shard held before — including a deposed primary's unacked suffix —
-    /// is discarded wholesale; the snapshot is the authoritative acked prefix.
-    pub fn restore(&mut self, snapshot: &ShardSnapshot) {
-        self.clear();
-        self.install_entries(&snapshot.entries);
     }
 
     /// Advance the lease expiry wheel one generation: candidates that aged through a

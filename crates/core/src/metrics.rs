@@ -39,12 +39,12 @@ pub struct NodeMetrics {
     pub directory_registrations: u64,
     /// Inline (small-object) directory hits served by the shard hosted on this node.
     pub directory_inline_hits: u64,
-    /// `DirReplicate` frames this node shipped (primary egress; one per backup in star
-    /// fan-out, one per op under chain replication — plus relays at chain members).
+    /// `DirReplicate` frames this node shipped (primary egress: one per op, to the
+    /// chain head — plus relays at chain members).
     pub directory_replicates_sent: u64,
     /// Cumulative `DirAck`s this node folded and relayed *upstream* along a
-    /// replication chain (tail → middle → primary). Zero under star fan-out, where
-    /// every ack goes straight to the primary.
+    /// replication chain (tail → middle → primary). Zero at r ≤ 2, where the chain
+    /// has no middle and the tail acks the primary directly.
     pub chain_ack_depth: u64,
     /// Receive slabs checked out of a connection's [slab pool] that reused a retained
     /// allocation instead of allocating fresh (transport-level; folded in by harnesses
@@ -53,9 +53,9 @@ pub struct NodeMetrics {
     /// Small control frames that went out corked — batched with at least one other
     /// frame into a single vectored write (transport-level, like `recv_slab_reuse`).
     pub corked_frames_per_write: u64,
-    /// `DirSnapshotChunk` frames this node served as a resync source. Chunked resync
-    /// streams bounded frames interleaved with live traffic instead of one
-    /// O(objects) `DirSnapshot` burst.
+    /// `DirSnapshotChunk` frames this node served as a resync source: bounded
+    /// frames interleaved with live traffic, at most `snapshot_chunk_bytes` of
+    /// state each.
     pub snapshot_chunks_sent: u64,
     /// Bytes of shard state shipped in resync chunks served by this node.
     pub snapshot_bytes: u64,

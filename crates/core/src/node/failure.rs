@@ -139,11 +139,13 @@ impl ObjectStoreNode {
     }
 
     /// Begin recovery after a process restart: demote every hosted directory replica,
-    /// route this node's own directory traffic away from itself, and request a state
-    /// snapshot of each hosted shard from the believed current primary. The driver
+    /// route this node's own directory traffic away from itself, and request each
+    /// hosted shard's state from the believed current primary (served as a chunk
+    /// stream, or as an op replay when its retained log covers the gap). The driver
     /// calls this exactly once on a node it restarted (never on cold boot). When the
-    /// last snapshot installs, [`ObjectStoreNode::handle_dir_snapshot`] announces
-    /// `DirResynced` cluster-wide and the node becomes a primary candidate again.
+    /// last stream completes, [`ObjectStoreNode::handle_dir_snapshot_chunk`] (or
+    /// [`ObjectStoreNode::handle_dir_resync_delta`]) announces `DirResynced`
+    /// cluster-wide and the node becomes a primary candidate again.
     pub fn begin_recovery(&mut self, now: Time, out: &mut Vec<Effect>) {
         let mut requests = Vec::new();
         let any = self.directory.begin_local_resync(&mut requests);
@@ -158,40 +160,12 @@ impl ObjectStoreNode {
         self.finish_turn(out);
     }
 
-    /// Install one resync snapshot: adopt the shard state, log position, and the
-    /// authoritative placement cursor (so this node's routing cannot fail back to
-    /// itself), ack the catch-up point to the shipping primary, and — once every
-    /// hosted shard has installed — broadcast `DirResynced` so the survivors re-admit
-    /// this node.
-    #[allow(clippy::too_many_arguments)] // mirrors the DirSnapshot wire fields
-    pub(crate) fn handle_dir_snapshot(
-        &mut self,
-        now: Time,
-        shard: usize,
-        epoch: u64,
-        seq: u64,
-        rank: usize,
-        state: &ShardSnapshot,
-        from: NodeId,
-        out: &mut Vec<Effect>,
-    ) {
-        let mut replies = Vec::new();
-        let installed =
-            self.directory.handle_snapshot(shard, epoch, seq, rank, state, from, &mut replies);
-        if installed {
-            self.ctx.metrics.directory_resyncs += 1;
-            self.ctx.directory.set_shard_rank(shard, rank);
-        }
-        for (to, msg) in replies {
-            self.ctx.send(to, msg, out);
-        }
-        self.maybe_announce_readmission(now, out);
-    }
-
     /// Install one bounded chunk of a resync stream. Mid-stream chunks answer with a
     /// continuation request from the installed cursor; the final chunk completes the
-    /// resync exactly like a monolithic snapshot (rank adoption, catch-up ack,
-    /// re-admission announcement).
+    /// resync: it adopts the source's authoritative placement cursor (so this node's
+    /// routing cannot fail back to itself), acks the catch-up point to the source,
+    /// and — once every hosted shard has completed — broadcasts `DirResynced` so the
+    /// survivors re-admit this node.
     #[allow(clippy::too_many_arguments)] // mirrors the DirSnapshotChunk wire fields
     pub(crate) fn handle_dir_snapshot_chunk(
         &mut self,

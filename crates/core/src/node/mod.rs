@@ -155,8 +155,8 @@ impl NodeContext {
         } else {
             self.metrics.messages_sent += 1;
             if matches!(msg, Message::DirReplicate { .. }) {
-                // Replication egress: one per backup under star fan-out, one per op
-                // under chain replication (scenarios assert the halved fan-out).
+                // Replication egress: one per op at a primary, plus relays at chain
+                // members (scenarios assert the primary's one-per-op egress).
                 self.metrics.directory_replicates_sent += 1;
             }
             out.push(Effect::Send { to, msg });
@@ -616,18 +616,6 @@ impl ObjectStoreNode {
                     self.ctx.send(to, msg, out);
                 }
             }
-            Message::DirSnapshot { shard, epoch, seq, rank, state } => {
-                self.handle_dir_snapshot(
-                    now,
-                    shard as usize,
-                    epoch,
-                    seq,
-                    rank as usize,
-                    &state,
-                    from,
-                    out,
-                );
-            }
             Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
                 self.handle_dir_snapshot_chunk(
                     now,
@@ -674,9 +662,8 @@ impl ObjectStoreNode {
                 }
                 self.detector_observe_alive(node, incarnation);
                 trace!("[n{}] peer {:?} re-admitted to its replica sets", self.ctx.id.0, node);
-                // Under chain replication the re-admission re-splices the peer into
-                // its chains: the service may emit suffix re-shipments and
-                // re-anchoring acks here.
+                // The re-admission re-splices the peer into its chains: the service
+                // may emit retained-log re-shipments and re-anchoring acks here.
                 let mut replies = Vec::new();
                 self.directory.on_peer_readmitted(node, &mut replies);
                 for (to, msg) in replies {

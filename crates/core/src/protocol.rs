@@ -278,9 +278,10 @@ impl SnapshotEntry {
     }
 }
 
-/// Full state of one directory shard, shipped to a recovering or newly-placed backup
-/// inside [`Message::DirSnapshot`] so it can be re-admitted to the replica set
-/// (§3.5: state transfer + log catch-up instead of failure-monotonic placement).
+/// A slice of one directory shard's state, shipped to a recovering or newly-placed
+/// backup inside [`Message::DirSnapshotChunk`] frames so it can be re-admitted to the
+/// replica set (§3.5: state transfer + log catch-up instead of failure-monotonic
+/// placement).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardSnapshot {
     /// One entry per tracked object, sorted by object id.
@@ -461,21 +462,6 @@ pub enum Message {
         /// [`Message::MembershipDigest`]. Empty on gap-detected catch-ups.
         digest: Vec<crate::membership::MemberDigestEntry>,
     },
-    /// Primary → recovering replica: full shard state at log position `seq`, epoch
-    /// `epoch`. `rank` is the primary's current placement cursor for the shard, which
-    /// the recovering node adopts so its own view does not fail back to itself.
-    DirSnapshot {
-        /// Shard index.
-        shard: u64,
-        /// The primary's promotion epoch at capture time.
-        epoch: u64,
-        /// Log sequence number the snapshot includes (catch-up replays from here).
-        seq: u64,
-        /// The shard's current primary rank in the replica set.
-        rank: u64,
-        /// The shard state itself.
-        state: ShardSnapshot,
-    },
     /// Primary → recovering replica: one bounded slice of shard state in a
     /// cursor-driven resync stream. The receiver installs the carried entries,
     /// advances its cursor past the last one, and requests the next chunk with
@@ -491,7 +477,8 @@ pub enum Message {
         /// Log sequence number this chunk's entries are consistent at. Only
         /// meaningful for installation on the final (`done`) chunk.
         seq: u64,
-        /// The source's current placement cursor for the shard (adopted at `done`).
+        /// The source's current placement cursor for the shard, adopted at `done` so
+        /// the recovering node's own view does not fail back to itself.
         rank: u64,
         /// `true` on the final chunk of the stream.
         done: bool,
@@ -700,7 +687,6 @@ impl Message {
             Message::Ping { gossip, .. } => CONTROL + 13 * gossip.len() as u64,
             Message::Ack { gossip, .. } => CONTROL + 13 * gossip.len() as u64,
             Message::PingReq { gossip, .. } => CONTROL + 13 * gossip.len() as u64,
-            Message::DirSnapshot { state, .. } => CONTROL + state.wire_size(),
             Message::DirSnapshotChunk { state, .. } => CONTROL + state.wire_size(),
             Message::DirResyncDelta { ops, .. } => {
                 CONTROL

@@ -12,8 +12,8 @@ use hoplite_core::prelude::*;
 ///
 /// `block_size`, `inline_threshold`, `store_capacity`, `snapshot_chunk_bytes`,
 /// `directory_inline_cache_bytes`, `directory_log_retention`,
-/// `directory_replication`, `directory_shards`, `directory_chain_replication`,
-/// `pull_timeout_ms`, `directory_lease_ttl_ms`.
+/// `directory_replication`, `directory_shards`, `pull_timeout_ms`,
+/// `directory_lease_ttl_ms`.
 ///
 /// The SWIM failure detector is off unless `detector = true`; with it on, the knobs
 /// `detector_probe_period_ms`, `detector_ack_timeout_ms`,
@@ -46,7 +46,6 @@ pub fn parse(text: &str) -> std::result::Result<HopliteConfig, String> {
             "directory_log_retention" => cfg.directory_log_retention = int()? as usize,
             "directory_replication" => cfg.directory_replication = int()? as usize,
             "directory_shards" => cfg.directory_shards = Some(int()? as usize),
-            "directory_chain_replication" => cfg.directory_chain_replication = boolean()?,
             "pull_timeout_ms" => cfg.pull_timeout = Duration::from_millis(int()?),
             "directory_lease_ttl_ms" => cfg.directory_lease_ttl = Duration::from_millis(int()?),
             "detector" => {
@@ -101,14 +100,12 @@ mod tests {
              block_size = 65536\n\
              inline_threshold = 128   # small objects stay inline\n\
              directory_replication = 3\n\
-             directory_chain_replication = false\n\
              pull_timeout_ms = 250\n",
         )
         .unwrap();
         assert_eq!(cfg.block_size, 65536);
         assert_eq!(cfg.inline_threshold, 128);
         assert_eq!(cfg.directory_replication, 3);
-        assert!(!cfg.directory_chain_replication);
         assert_eq!(cfg.pull_timeout, Duration::from_millis(250));
         // Untouched keys keep their defaults.
         assert_eq!(cfg.store_capacity, HopliteConfig::default().store_capacity);
@@ -119,6 +116,14 @@ mod tests {
         assert!(parse("block_sz = 1").is_err());
         assert!(parse("block_size = banana").is_err());
         assert!(parse("no equals sign").is_err());
+    }
+
+    #[test]
+    fn retired_chain_replication_key_is_unknown() {
+        // Chain replication is the only topology; its old on/off switch is a typo
+        // like any other key, not a silently ignored setting.
+        let err = parse("directory_chain_replication = true").unwrap_err();
+        assert!(err.contains("unknown config key `directory_chain_replication`"), "{err}");
     }
 
     #[test]

@@ -76,7 +76,8 @@ mod tags {
     pub const REDUCE_RELEASE: u8 = 20;
     pub const DIR_ACK: u8 = 21;
     pub const DIR_SNAPSHOT_REQUEST: u8 = 22;
-    pub const DIR_SNAPSHOT: u8 = 23;
+    // 23 was the full-state `DirSnapshot`, replaced by the chunked stream; reserved
+    // so a frame carrying it is rejected as an unknown tag.
     pub const DIR_RESYNCED: u8 = 24;
     pub const DIR_CONFIRM: u8 = 25;
     pub const HELLO: u8 = 26;
@@ -124,7 +125,8 @@ pub const GATHER_MIN_SEGMENT: usize = 4 * 1024;
 /// the tag and every fixed field, and `segments` holds the bulk payload as shared,
 /// zero-copy references (for a forwarded block: the very [`Bytes`] views sitting in
 /// the sender's `ProgressBuffer`, uncoalesced). Flattening `header ++ segments`
-/// yields byte-for-byte the frame [`encode_frame`] produces.
+/// ([`EncodedFrame::to_contiguous`]) yields the contiguous wire frame: the length
+/// prefix followed by a body [`decode_body`] accepts.
 #[derive(Clone, Debug)]
 pub struct EncodedFrame {
     /// Length prefix, tag, and fixed fields (plus any payload bytes below the
@@ -158,8 +160,8 @@ impl EncodedFrame {
 
 /// Internal encode sink: an ordered list of parts, either owned contiguous runs or
 /// shared payload segments. With `gather` off every byte lands in one owned run (the
-/// legacy contiguous encoding); with `gather` on, payload segments at or above
-/// [`GATHER_MIN_SEGMENT`] are adopted by reference.
+/// contiguous encoding the tests keep as a reference); with `gather` on, payload
+/// segments at or above [`GATHER_MIN_SEGMENT`] are adopted by reference.
 enum Part {
     Owned(Vec<u8>),
     Shared(Bytes),
@@ -218,6 +220,7 @@ impl FrameWriter {
     }
 
     /// The contiguous body (gather must be off: everything is one owned run).
+    #[cfg(test)]
     fn into_contiguous(mut self) -> Vec<u8> {
         debug_assert!(!self.gather);
         debug_assert_eq!(self.parts.len(), 1);
@@ -758,8 +761,9 @@ impl<'a> Reader<'a> {
 // ------------------------------------------------------------------------- encode --
 
 /// Encode a message body (without the outer length prefix) as one contiguous buffer.
-/// This is the legacy path — it memcpys bulk payloads into the result; the send path
-/// uses [`encode_frame_vectored`], which does not.
+/// The reference encoding the tests check [`encode_frame_vectored`] against — it
+/// memcpys bulk payloads into the result, which the send path never does.
+#[cfg(test)]
 pub fn encode_body(msg: &Message) -> Result<Vec<u8>, FrameError> {
     let mut w = FrameWriter::new(false);
     encode_message(msg, &mut w);
@@ -879,14 +883,6 @@ fn encode_message(msg: &Message, out: &mut FrameWriter) {
             put_u64(out, *have_epoch);
             put_u64(out, *have_seq);
             put_digest(out, digest);
-        }
-        Message::DirSnapshot { shard, epoch, seq, rank, state } => {
-            put_u8(out, tags::DIR_SNAPSHOT);
-            put_u64(out, *shard);
-            put_u64(out, *epoch);
-            put_u64(out, *seq);
-            put_u64(out, *rank);
-            put_snapshot(out, state);
         }
         Message::DirSnapshotChunk { shard, epoch, seq, rank, done, state } => {
             put_u8(out, tags::DIR_SNAPSHOT_CHUNK);
@@ -1036,7 +1032,7 @@ fn encode_message(msg: &Message, out: &mut FrameWriter) {
 
 // ------------------------------------------------------------------------- decode --
 
-/// Decode a message body produced by [`encode_body`].
+/// Decode a message body: one frame without its length prefix.
 ///
 /// The body is taken as a shared [`Bytes`] buffer so payloads of at least
 /// [`GATHER_MIN_SEGMENT`] bytes (`PushBlock`, `ReduceBlock`, larger inline objects)
@@ -1108,13 +1104,6 @@ pub fn decode_body(buf: &Bytes) -> Result<Message, FrameError> {
             have_epoch: r.u64()?,
             have_seq: r.u64()?,
             digest: r.digest()?,
-        },
-        tags::DIR_SNAPSHOT => Message::DirSnapshot {
-            shard: r.u64()?,
-            epoch: r.u64()?,
-            seq: r.u64()?,
-            rank: r.u64()?,
-            state: r.snapshot()?,
         },
         tags::DIR_SNAPSHOT_CHUNK => Message::DirSnapshotChunk {
             shard: r.u64()?,
@@ -1224,8 +1213,9 @@ pub fn decode_body(buf: &Bytes) -> Result<Message, FrameError> {
 }
 
 /// Encode a whole frame contiguously: `u32` big-endian length followed by the body.
-/// Legacy path — it copies the payload twice (once into the body, once into the
+/// Test reference — it copies the payload twice (once into the body, once into the
 /// length-prefixed frame); the send path uses [`encode_frame_vectored`].
+#[cfg(test)]
 pub fn encode_frame(msg: &Message) -> Result<Vec<u8>, FrameError> {
     let body = encode_body(msg)?;
     u32::try_from(body.len()).map_err(|_| malformed("frame body exceeds u32 length"))?;
@@ -1239,15 +1229,15 @@ pub fn encode_frame(msg: &Message) -> Result<Vec<u8>, FrameError> {
 
 /// Encode a whole frame as scatter-gather parts: the header (length prefix + tag +
 /// fixed fields) is built fresh, and bulk payload bytes are **referenced, not
-/// copied** — encoding a 4 MiB `PushBlock` is header-only work. Flattening the result
-/// equals [`encode_frame`]'s output byte for byte.
+/// copied** — encoding a 4 MiB `PushBlock` is header-only work.
 pub fn encode_frame_vectored(msg: &Message) -> Result<EncodedFrame, FrameError> {
     let mut w = FrameWriter::new(true);
     encode_message(msg, &mut w);
     w.into_frame()
 }
 
-/// Write a framed message to a writer as one contiguous buffer (legacy path).
+/// Write a framed message to a writer as one contiguous buffer (test reference).
+#[cfg(test)]
 pub fn write_frame<W: std::io::Write>(w: &mut W, msg: &Message) -> std::io::Result<()> {
     let frame = encode_frame(msg)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
@@ -1270,8 +1260,9 @@ pub fn write_frame_vectored<W: std::io::Write>(w: &mut W, msg: &Message) -> std:
     write_all_vectored(w, &parts)
 }
 
-/// Read one framed message from a reader. The body buffer is handed to the decoder as
-/// a shared `Bytes`, so the message's payload (if any) aliases it instead of copying.
+/// Read one framed message from a reader into a fresh buffer: the reference the
+/// tests check [`FrameReader`] against.
+#[cfg(test)]
 pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<Message> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
@@ -1354,8 +1345,8 @@ impl RecvSlabPool {
 
 /// Zero-copy framed reader: the receive-side twin of [`write_frame_vectored`].
 ///
-/// Where [`read_frame`] allocates a fresh `vec![0u8; len]` per frame (an allocation,
-/// a page-fault walk, and a kernel→user copy into cold memory every time), a
+/// Instead of allocating a fresh `vec![0u8; len]` per frame (an allocation, a
+/// page-fault walk, and a kernel→user copy into cold memory every time), a
 /// `FrameReader` reads ahead into a pooled slab and decodes each frame **in place**:
 /// the body handed to [`decode_body`] is a [`Bytes`] view of the slab, so a bulk
 /// payload's bytes are written exactly once (by the kernel, into the slab) and then
@@ -1836,12 +1827,13 @@ mod tests {
         });
         roundtrip(Message::DirConfirm { object: obj, kind: ConfirmKind::Inline });
         roundtrip(Message::DirConfirm { object: obj, kind: ConfirmKind::Subscription });
-        // An empty snapshot and a fully-populated one.
-        roundtrip(Message::DirSnapshot {
+        // An empty mid-stream chunk and a fully-populated final one.
+        roundtrip(Message::DirSnapshotChunk {
             shard: 1,
             epoch: 5,
             seq: 12,
             rank: 1,
+            done: false,
             state: ShardSnapshot::default(),
         });
         let state = ShardSnapshot {
@@ -1873,16 +1865,24 @@ mod tests {
                 },
             ],
         };
-        roundtrip(Message::DirSnapshot { shard: 2, epoch: 1, seq: 9, rank: 0, state });
+        roundtrip(Message::DirSnapshotChunk {
+            shard: 2,
+            epoch: 1,
+            seq: 9,
+            rank: 0,
+            done: true,
+            state,
+        });
     }
 
     #[test]
     fn truncated_snapshot_is_rejected() {
-        let mut body = encode_body(&Message::DirSnapshot {
+        let mut body = encode_body(&Message::DirSnapshotChunk {
             shard: 0,
             epoch: 0,
             seq: 1,
             rank: 0,
+            done: true,
             state: ShardSnapshot {
                 entries: vec![SnapshotEntry {
                     object: ObjectId::from_name("t"),
@@ -2208,16 +2208,9 @@ mod tests {
                     have_seq: self.next_u64(),
                     digest: self.digest(),
                 },
-                22 => Message::DirSnapshot {
-                    shard: self.next_u64(),
-                    epoch: self.next_u64(),
-                    seq: self.next_u64(),
-                    rank: self.next_u64(),
-                    state: self.snapshot(),
-                },
                 23 => Message::DirResynced { node: self.node(), incarnation: self.next_u64() },
                 24 => Message::Hello { node: self.node(), incarnation: self.next_u64() },
-                25 => Message::DirSnapshotChunk {
+                22 | 25 => Message::DirSnapshotChunk {
                     shard: self.next_u64(),
                     epoch: self.next_u64(),
                     seq: self.next_u64(),
@@ -2264,7 +2257,7 @@ mod tests {
     #[test]
     fn fuzz_vectored_encoding_matches_contiguous_for_every_variant() {
         let mut rng = Rng(0x5CA7_7E2F);
-        let mut variants_seen = [false; 33];
+        let mut tags_seen = std::collections::BTreeSet::new();
         for case in 0..700 {
             let msg = rng.message();
             let contiguous = encode_frame(&msg).unwrap();
@@ -2278,12 +2271,10 @@ mod tests {
             assert_eq!(&contiguous[4..], body.as_slice(), "case {case}: frame != prefix+body");
             let decoded = decode_body(&body).unwrap();
             assert_eq!(decoded, msg, "case {case}: decode roundtrip");
-            variants_seen[(contiguous[4] - 1) as usize] = true;
+            tags_seen.insert(contiguous[4]);
         }
-        assert!(
-            variants_seen.iter().all(|&seen| seen),
-            "700 cases should cover all 33 tags: {variants_seen:?}"
-        );
+        let live: std::collections::BTreeSet<u8> = (1..=33).filter(|&t| t != 23).collect();
+        assert_eq!(tags_seen, live, "700 cases should cover all 32 live tags");
     }
 
     /// Property (seeded fuzzer): chunking is codec-transparent. A shard's entry list
@@ -2498,6 +2489,30 @@ mod tests {
         let len_at = huge.len() - 8 - 8; // length u64 sits just before the 8 payload bytes
         huge[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_be_bytes());
         assert!(decode(&huge).is_err());
+    }
+
+    /// Tag 23 belonged to the retired full-state `DirSnapshot`; it stays reserved, so
+    /// a frame carrying it — here in its old layout, a chunk without the `done`
+    /// byte — is an unknown tag to both decode entry points.
+    #[test]
+    fn retired_dir_snapshot_tag_is_rejected() {
+        let mut body = encode_body(&Message::DirSnapshotChunk {
+            shard: 0,
+            epoch: 1,
+            seq: 9,
+            rank: 0,
+            done: true,
+            state: ShardSnapshot::default(),
+        })
+        .unwrap();
+        body.remove(1 + 4 * 8);
+        body[0] = 23;
+        let err = decode_body(&Bytes::from(body.clone())).unwrap_err();
+        assert!(err.to_string().contains("unknown frame tag 23"), "{err}");
+        let mut stream = (body.len() as u32).to_be_bytes().to_vec();
+        stream.extend_from_slice(&body);
+        let err = FrameReader::new(std::io::Cursor::new(stream)).read_message().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }
 
     /// Serves a fixed byte stream in adversarially small chunks: every `read` returns
